@@ -7,9 +7,10 @@ keep a full harness run around a second so it can gate every verify run.
 
 from __future__ import annotations
 
+import sys
 import time
 
-from perf.harness import best_of, workload
+from perf.harness import REPO_ROOT, best_of, workload
 
 from repro.core.partition import PipeDreamOptimizer
 from repro.core.schedule import data_parallel_schedule, one_f_one_b_rr_schedule
@@ -22,6 +23,11 @@ from repro.sim.strategies import (
     simulate_pipedream,
 )
 from repro.sim.sweep import run_sweep
+
+# The op-level rescan oracle lives with the tests it anchors.
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+from tests.sim_oracle import oracle_simulate, use_oracle  # noqa: E402
 
 #: The seven models of the paper's evaluation (§5.1, Table 1/2).
 PAPER_MODELS = ("vgg16", "resnet50", "alexnet", "gnmt16", "gnmt8", "awd-lm", "s2vt")
@@ -91,8 +97,8 @@ def optimizer_runtime():
 def straggler_sim():
     """64-worker BSP data-parallel simulation with stragglers.
 
-    Exercises the event engine's lazy heap invalidation (BSP round commits
-    bump whole stages) at the largest worker count the harness tracks.
+    Exercises the heap loop's dirty marking (BSP round commits bump whole
+    stages) at the largest worker count the harness tracks.
     """
     profile = analytic_profile("resnet50")
     topology = cluster_a(16)  # 64 workers
@@ -111,19 +117,21 @@ def straggler_sim():
 
 @workload("event_vs_reference_1f1b_16w")
 def event_vs_reference():
-    """The engine acceptance workload: 16-worker, 128-minibatch 1F1B.
+    """The simulator acceptance workload: 16-worker, 128-minibatch 1F1B.
 
-    Times both engines on the same schedule and asserts their ``OpRecord``
-    timelines are identical; the tracked number is the event engine's time,
-    with the reference time and speedup kept in the detail.
+    Times :func:`simulate` (schedule pricing, compile and the heap loop)
+    and the test suite's op-level rescan oracle on the same schedule and
+    asserts their ``OpRecord`` timelines are identical; the tracked number
+    is the simulator's time, with the oracle's time and the speedup kept
+    in the detail.
     """
     profile = analytic_profile("vgg16")
     topology = cluster_a(4)
     stages = balanced_straight_stages(profile, 16)
     schedule = one_f_one_b_rr_schedule(stages, 128)
 
-    ref = simulate(schedule, profile, topology, engine="reference")
-    ev = simulate(schedule, profile, topology, engine="event")
+    ref = oracle_simulate(schedule, profile, topology)
+    ev = simulate(schedule, profile, topology)
     identical = (
         ref.records == ev.records
         and ref.total_time == ev.total_time
@@ -131,10 +139,10 @@ def event_vs_reference():
     )
 
     ref_seconds = best_of(
-        lambda: simulate(schedule, profile, topology, engine="reference"), 5
+        lambda: oracle_simulate(schedule, profile, topology), 5
     )
     event_seconds = best_of(
-        lambda: simulate(schedule, profile, topology, engine="event"), 5
+        lambda: simulate(schedule, profile, topology), 5
     )
     return event_seconds, {
         "reference_seconds": ref_seconds,
@@ -454,8 +462,9 @@ def bucketed_overlap():
     per-round payload and with 25 MB fusion, and gates the overlap claims:
     bucketing must cut the critical-path (exposed) sync of the replicated
     stage by at least 2x and the makespan by at least 1.5%, while moving
-    exactly the same gradient bytes (busy sync time unchanged).  Both
-    engines must agree bitwise on the bucketed timeline.
+    exactly the same gradient bytes (busy sync time unchanged).  The
+    simulator must agree bitwise with the rescan oracle on the bucketed
+    timeline.
     """
     from repro.core.partition import Stage
 
@@ -468,8 +477,7 @@ def bucketed_overlap():
 
     base = simulate(schedule, profile, topology, base_opts)
     fused = simulate(schedule, profile, topology, fused_opts)
-    ref = simulate(schedule, profile, topology, fused_opts,
-                   engine="reference")
+    ref = oracle_simulate(schedule, profile, topology, fused_opts)
     engines_identical = (
         fused.records == ref.records
         and fused.total_time == ref.total_time
@@ -508,9 +516,9 @@ def hybrid_3d_plan():
     across a 2-way tensor-parallel group.  Gates: the recovered plan
     carries at least one tp>1 stage and fits the cap; the scalar twin
     and a warm-started solve are bitwise identical to the vectorized
-    cold solve; both sim engines agree on the hybrid timeline.  The
-    tracked number is the 3D solve plus the simulation, and the solve
-    itself is held to an absolute wall-clock ceiling.
+    cold solve; the simulator and the rescan oracle agree on the hybrid
+    timeline.  The tracked number is the 3D solve plus the simulation,
+    and the solve itself is held to an absolute wall-clock ceiling.
     """
     from repro.core.partition import SolverContext
     from repro.core.topology import Topology, TopologyLevel
@@ -541,8 +549,9 @@ def hybrid_3d_plan():
 
     event = simulate_partition(profile, topology, plan.stages,
                                num_minibatches=32)
-    reference = simulate_partition(profile, topology, plan.stages,
-                                   num_minibatches=32, engine="reference")
+    with use_oracle():
+        reference = simulate_partition(profile, topology, plan.stages,
+                                       num_minibatches=32)
 
     def run():
         hybrid = PipeDreamOptimizer(

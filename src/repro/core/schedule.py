@@ -19,9 +19,11 @@ case (asserted by the test suite).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.partition import Stage
 
@@ -55,14 +57,68 @@ class Op:
         return f"{self.kind.value}{self.minibatch}@s{self.stage}"
 
 
-@dataclass
+#: Packed op kinds.  A worker's ops are stored as ints
+#: ``minibatch << 2 | code``: the stage is implicit (each worker serves one
+#: stage), so a schedule is one flat int sequence per worker.
+F_CODE, B_CODE, W_CODE, U_CODE = range(4)
+CODE_KINDS = (OpKind.FORWARD, OpKind.BACKWARD, OpKind.BACKWARD_W,
+              OpKind.UPDATE)
+KIND_CODES = {kind: code for code, kind in enumerate(CODE_KINDS)}
+
+
+class WorkerOps(Sequence):
+    """Read-only :class:`Op` view of one worker's packed op codes.
+
+    ``len`` reads the packed list; the :class:`Op` objects are decoded on
+    first element access and cached.
+    """
+
+    __slots__ = ("codes", "stage", "_ops")
+
+    def __init__(self, codes: List[int], stage: int):
+        self.codes = codes
+        self.stage = stage
+        self._ops: Optional[Tuple[Op, ...]] = None
+
+    def _decoded(self) -> Tuple[Op, ...]:
+        ops = self._ops
+        if ops is None:
+            s = self.stage
+            ops = self._ops = tuple(
+                Op(CODE_KINDS[c & 3], s, c >> 2) for c in self.codes)
+        return ops
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, WorkerOps):
+            return self.codes == other.codes and (
+                not self.codes or self.stage == other.stage)
+        if isinstance(other, (list, tuple)):
+            return list(self._decoded()) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self._decoded()))
+
+
 class Schedule:
     """A static pipeline schedule.
 
     Attributes:
         stages: the stage list (layer ranges + replica counts).
         num_minibatches: how many minibatches the schedule covers.
-        worker_ops: op list per global worker id, in execution order.
+        worker_ops: read-only op sequence per global worker id, in
+            execution order (a view of the packed form below).
         stage_workers: worker ids serving each stage, replica-indexed.
         noam: in-flight minibatches admitted per input-stage replica.
         flush_after: for GPipe-style schedules, minibatch ids after whose
@@ -70,15 +126,60 @@ class Schedule:
         backward_split: True for 2BP schedules — every BACKWARD op is the
             grad-input half of a split backward pass, with a matching
             BACKWARD_W (grad-weight) op later on the same worker.
+
+    The schedule is stored packed: ``worker_codes[w]`` holds worker ``w``'s
+    ops as ints ``minibatch << 2 | code`` (codes in :data:`KIND_CODES`)
+    and ``worker_stage[w]`` the one stage it serves.  The builders below
+    emit that form directly; a schedule given ``worker_ops`` lists of
+    :class:`Op` (deployment round-trips, hand-built schedules) is packed
+    once here, and every worker's ops must then share one stage.
     """
 
-    stages: List[Stage]
-    num_minibatches: int
-    worker_ops: Dict[int, List[Op]]
-    stage_workers: Dict[int, List[int]]
-    noam: int
-    flush_after: List[int] = field(default_factory=list)
-    backward_split: bool = False
+    def __init__(
+        self,
+        stages: List[Stage],
+        num_minibatches: int,
+        worker_ops: Mapping[int, Sequence[Op]],
+        stage_workers: Dict[int, List[int]],
+        noam: int,
+        flush_after: Optional[List[int]] = None,
+        backward_split: bool = False,
+    ):
+        self.stages = stages
+        self.num_minibatches = num_minibatches
+        self.stage_workers = stage_workers
+        self.noam = noam
+        self.flush_after = flush_after if flush_after is not None else []
+        self.backward_split = backward_split
+        if isinstance(worker_ops, _Packed):
+            packed, forward_first = worker_ops, True
+        else:
+            packed, forward_first = _pack(worker_ops, stage_workers)
+        self.worker_codes = packed.codes
+        self.worker_stage = packed.stage
+        #: True when every backward follows its own forward on its
+        #: worker — the precondition for the simulator to drop the last
+        #: stage's backward-waits-for-forward dependency.
+        self.forward_first = forward_first
+        self.worker_ops: Mapping[int, Sequence[Op]] = MappingProxyType({
+            w: WorkerOps(codes, packed.stage[w])
+            for w, codes in packed.codes.items()
+        })
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return (
+            self.stages == other.stages
+            and self.num_minibatches == other.num_minibatches
+            and self.worker_ops == other.worker_ops
+            and self.stage_workers == other.stage_workers
+            and self.noam == other.noam
+            and self.flush_after == other.flush_after
+            and self.backward_split == other.backward_split
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def num_workers(self) -> int:
@@ -108,6 +209,43 @@ class Schedule:
         """F/B pattern string for a worker after ``skip`` warmup ops."""
         ops = [op for op in self.worker_ops[worker] if op.kind != OpKind.UPDATE]
         return "".join(op.kind.value for op in ops[skip:])
+
+
+class _Packed(NamedTuple):
+    """Builder output: op codes and stage per worker.  Builders emit every
+    forward ahead of its backward."""
+
+    codes: Dict[int, List[int]]
+    stage: Dict[int, int]
+
+
+def _pack(
+    worker_ops: Mapping[int, Sequence[Op]],
+    stage_workers: Dict[int, List[int]],
+) -> Tuple[_Packed, bool]:
+    """Pack :class:`Op` lists; also report whether every backward follows
+    its own forward.  A worker with no ops takes its stage from
+    ``stage_workers`` (0 if absent)."""
+    listed = {w: s for s, ws in stage_workers.items() for w in ws}
+    packed = _Packed({}, {})
+    forward_first = True
+    for worker, ops in worker_ops.items():
+        stage = ops[0].stage if len(ops) else listed.get(worker, 0)
+        codes: List[int] = []
+        forwards = set()
+        for op in ops:
+            if op.stage != stage:
+                raise ValueError(
+                    f"worker {worker} has ops of stages {stage} and "
+                    f"{op.stage}; each worker serves one stage")
+            if op.kind is OpKind.FORWARD:
+                forwards.add(op.minibatch)
+            elif op.kind is OpKind.BACKWARD and op.minibatch not in forwards:
+                forward_first = False
+            codes.append(op.minibatch << 2 | KIND_CODES[op.kind])
+        packed.codes[worker] = codes
+        packed.stage[worker] = stage
+    return packed, forward_first
 
 
 def _assign_workers(stages: Sequence[Stage]) -> Dict[int, List[int]]:
@@ -143,6 +281,41 @@ def compute_noam(stages: Sequence[Stage]) -> int:
 # Straight 1F1B (closed form, Figure 4)
 # ----------------------------------------------------------------------
 
+def _one_f_one_b_codes(own: Sequence[int], warmup: int) -> List[int]:
+    """One worker's 1F1B codes over its minibatch sequence ``own``:
+    ``warmup`` startup forwards, then backward + update, each followed by
+    the next forward while any remain, then the drain."""
+    n = len(own)
+    warm = min(warmup, n)
+    codes = [b << 2 for b in own[:warm]]
+    append = codes.append
+    for j, b in enumerate(own):
+        b <<= 2
+        append(b | B_CODE)
+        append(b | U_CODE)
+        if warm + j < n:
+            append(own[warm + j] << 2)
+    return codes
+
+
+def _one_pass_codes(num_minibatches: int) -> List[int]:
+    """Forward, backward, update of each minibatch in turn (no overlap)."""
+    codes: List[int] = []
+    for b in range(num_minibatches):
+        b <<= 2
+        codes += (b, b | B_CODE, b | U_CODE)
+    return codes
+
+
+def _one_worker_per_stage(
+    stage_workers: Dict[int, List[int]], per_stage: List[List[int]],
+) -> _Packed:
+    """Packed codes for pipelines with one worker per stage."""
+    return _Packed(
+        {stage_workers[s][0]: c for s, c in enumerate(per_stage)},
+        {stage_workers[s][0]: s for s in range(len(per_stage))})
+
+
 def one_f_one_b_schedule(num_stages: int, num_minibatches: int,
                          layer_bounds: Optional[Sequence[Tuple[int, int]]] = None) -> Schedule:
     """The canonical 1F1B schedule for a straight pipeline.
@@ -157,29 +330,11 @@ def one_f_one_b_schedule(num_stages: int, num_minibatches: int,
         layer_bounds = [(s, s + 1) for s in range(num_stages)]
     stages = [Stage(b[0], b[1], 1) for b in layer_bounds]
     stage_workers = _assign_workers(stages)
-    worker_ops: Dict[int, List[Op]] = {}
-    for s in range(num_stages):
-        ops: List[Op] = []
-        warmup = min(num_stages - s, num_minibatches)
-        fwd = bwd = 0
-        for _ in range(warmup):
-            ops.append(Op(OpKind.FORWARD, s, fwd))
-            fwd += 1
-        while bwd < num_minibatches:
-            ops.append(Op(OpKind.BACKWARD, s, bwd))
-            ops.append(Op(OpKind.UPDATE, s, bwd))
-            bwd += 1
-            if fwd < num_minibatches:
-                ops.append(Op(OpKind.FORWARD, s, fwd))
-                fwd += 1
-        worker_ops[stage_workers[s][0]] = ops
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=num_stages,
-    )
+    own = list(range(num_minibatches))
+    packed = _one_worker_per_stage(stage_workers, [
+        _one_f_one_b_codes(own, num_stages - s) for s in range(num_stages)])
+    return Schedule(stages, num_minibatches, packed, stage_workers,
+                    noam=num_stages)
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +386,6 @@ def one_f_one_b_rr_schedule(
     if noam is None:
         noam = compute_noam(stages)
     stage_workers = _assign_workers(stages)
-    worker_ops: Dict[int, List[Op]] = {}
 
     warmups: List[int] = []
     for s, stage in enumerate(stages):
@@ -251,30 +405,14 @@ def one_f_one_b_rr_schedule(
             warmup = min(warmup, upstream_global // stage.replicas)
         warmups.append(max(1, warmup))
 
+    packed = _Packed({}, {})
     for s, stage in enumerate(stages):
-        warmup = warmups[s]
         for q, worker in enumerate(stage_workers[s]):
             own = replica_minibatches(stage, q, num_minibatches)
-            ops: List[Op] = []
-            fwd = bwd = 0
-            for _ in range(min(warmup, len(own))):
-                ops.append(Op(OpKind.FORWARD, s, own[fwd]))
-                fwd += 1
-            while bwd < len(own):
-                ops.append(Op(OpKind.BACKWARD, s, own[bwd]))
-                ops.append(Op(OpKind.UPDATE, s, own[bwd]))
-                bwd += 1
-                if fwd < len(own):
-                    ops.append(Op(OpKind.FORWARD, s, own[fwd]))
-                    fwd += 1
-            worker_ops[worker] = ops
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=noam,
-    )
+            packed.codes[worker] = _one_f_one_b_codes(own, warmups[s])
+            packed.stage[worker] = s
+    return Schedule(stages, num_minibatches, packed, stage_workers,
+                    noam=noam)
 
 
 # ----------------------------------------------------------------------
@@ -288,20 +426,12 @@ def model_parallel_schedule(num_stages: int, num_minibatches: int,
         layer_bounds = [(s, s + 1) for s in range(num_stages)]
     stages = [Stage(b[0], b[1], 1) for b in layer_bounds]
     stage_workers = _assign_workers(stages)
-    worker_ops: Dict[int, List[Op]] = {stage_workers[s][0]: [] for s in range(num_stages)}
-    for mb in range(num_minibatches):
-        for s in range(num_stages):
-            worker_ops[stage_workers[s][0]].append(Op(OpKind.FORWARD, s, mb))
-        for s in reversed(range(num_stages)):
-            worker_ops[stage_workers[s][0]].append(Op(OpKind.BACKWARD, s, mb))
-            worker_ops[stage_workers[s][0]].append(Op(OpKind.UPDATE, s, mb))
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=1,
-    )
+    # Each worker runs forward, backward and update of one minibatch
+    # before the next enters the pipeline.
+    per_worker = _one_pass_codes(num_minibatches)
+    packed = _one_worker_per_stage(
+        stage_workers, [per_worker[:] for _ in range(num_stages)])
+    return Schedule(stages, num_minibatches, packed, stage_workers, noam=1)
 
 
 def gpipe_schedule(
@@ -321,28 +451,20 @@ def gpipe_schedule(
         layer_bounds = [(s, s + 1) for s in range(num_stages)]
     stages = [Stage(b[0], b[1], 1) for b in layer_bounds]
     stage_workers = _assign_workers(stages)
-    worker_ops: Dict[int, List[Op]] = {stage_workers[s][0]: [] for s in range(num_stages)}
+    per_worker: List[int] = []
     flush_after: List[int] = []
     for batch in range(num_batches):
         base = batch * num_microbatches
-        for s in range(num_stages):
-            ops = worker_ops[stage_workers[s][0]]
-            for micro in range(num_microbatches):
-                ops.append(Op(OpKind.FORWARD, s, base + micro))
-        for s in reversed(range(num_stages)):
-            ops = worker_ops[stage_workers[s][0]]
-            for micro in reversed(range(num_microbatches)):
-                ops.append(Op(OpKind.BACKWARD, s, base + micro))
-            ops.append(Op(OpKind.UPDATE, s, base + num_microbatches - 1))
-        flush_after.append(base + num_microbatches - 1)
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_batches * num_microbatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=num_microbatches,
-        flush_after=flush_after,
-    )
+        last = base + num_microbatches - 1
+        per_worker += [mb << 2 for mb in range(base, last + 1)]
+        per_worker += [mb << 2 | B_CODE for mb in range(last, base - 1, -1)]
+        per_worker.append(last << 2 | U_CODE)
+        flush_after.append(last)
+    packed = _one_worker_per_stage(
+        stage_workers, [per_worker[:] for _ in range(num_stages)])
+    return Schedule(stages, num_batches * num_microbatches, packed,
+                    stage_workers, noam=num_microbatches,
+                    flush_after=flush_after)
 
 
 def data_parallel_schedule(num_workers: int, num_minibatches: int,
@@ -355,21 +477,10 @@ def data_parallel_schedule(num_workers: int, num_minibatches: int,
     """
     stages = [Stage(0, num_layers, num_workers)]
     stage_workers = _assign_workers(stages)
-    worker_ops: Dict[int, List[Op]] = {}
-    for w in stage_workers[0]:
-        ops: List[Op] = []
-        for mb in range(num_minibatches):
-            ops.append(Op(OpKind.FORWARD, 0, mb))
-            ops.append(Op(OpKind.BACKWARD, 0, mb))
-            ops.append(Op(OpKind.UPDATE, 0, mb))
-        worker_ops[w] = ops
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=1,
-    )
+    per_worker = _one_pass_codes(num_minibatches)
+    packed = _Packed({w: per_worker[:] for w in stage_workers[0]},
+                     dict.fromkeys(stage_workers[0], 0))
+    return Schedule(stages, num_minibatches, packed, stage_workers, noam=1)
 
 
 # ----------------------------------------------------------------------
@@ -393,23 +504,19 @@ def split_backward_schedule(schedule: Schedule) -> Schedule:
     """
     if schedule.backward_split:
         raise ValueError("schedule backward pass is already split")
-    worker_ops: Dict[int, List[Op]] = {}
-    for worker, ops in schedule.worker_ops.items():
-        out: List[Op] = []
-        for op in ops:
-            out.append(op)
-            if op.kind is OpKind.BACKWARD:
-                out.append(Op(OpKind.BACKWARD_W, op.stage, op.minibatch))
-        worker_ops[worker] = out
+    packed = _Packed({}, dict(schedule.worker_stage))
+    for worker, codes in schedule.worker_codes.items():
+        out: List[int] = []
+        for code in codes:
+            out.append(code)
+            if code & 3 == B_CODE:
+                out.append(code + (W_CODE - B_CODE))
+        packed.codes[worker] = out
     return Schedule(
-        stages=list(schedule.stages),
-        num_minibatches=schedule.num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers={s: list(w) for s, w in schedule.stage_workers.items()},
-        noam=schedule.noam,
-        flush_after=list(schedule.flush_after),
-        backward_split=True,
-    )
+        list(schedule.stages), schedule.num_minibatches, packed,
+        {s: list(w) for s, w in schedule.stage_workers.items()},
+        noam=schedule.noam, flush_after=list(schedule.flush_after),
+        backward_split=True)
 
 
 def schedule_for_family(schedule: Schedule, family: str) -> Schedule:

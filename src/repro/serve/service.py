@@ -72,6 +72,15 @@ class RequestError(ValueError):
     """A malformed or unsatisfiable request (HTTP 400, not a server bug)."""
 
 
+def _check_engine(request: Dict[str, Any]) -> str:
+    """The request's ``engine``: the simulator has one loop, so only its
+    historical name ``"event"`` (the default) is accepted."""
+    engine = request.get("engine", "event")
+    if engine != "event":
+        raise RequestError(f"unknown engine {engine!r} (have ['event'])")
+    return engine
+
+
 def topology_to_dict(topology: Topology) -> Dict[str, Any]:
     """JSON form of a topology (inverse of :func:`topology_from_dict`)."""
     return {
@@ -381,14 +390,15 @@ class PlannerService:
         """Plan-then-simulate one configuration.
 
         Accepts every plan field plus ``strategy`` (``pipedream``/``dp``/
-        ``mp``/``gpipe``), ``minibatches``, and ``engine``.  The pipedream
+        ``mp``/``gpipe``), ``minibatches``, and ``engine`` (only
+        ``"event"``, kept for request compatibility).  The pipedream
         strategy reuses the service's warm optimizer, so repeated
         simulations of one profile re-solve from hot tables.
         """
         self._count("simulate")
         strategy = request.get("strategy", "pipedream")
         minibatches = int(request.get("minibatches", 48))
-        engine = request.get("engine", "event")
+        engine = _check_engine(request)
         schedule_family = request.get("schedule_family", "1f1b")
         if schedule_family not in ("1f1b", "2bp"):
             raise RequestError(
@@ -424,24 +434,24 @@ class PlannerService:
         if strategy == "pipedream":
             result = simulate_pipedream(
                 profile, topology, num_minibatches=minibatches,
-                engine=engine, optimizer=self._optimizer(query),
+                optimizer=self._optimizer(query),
                 bucket_bytes=query.bucket_bytes,
                 schedule_family=schedule_family,
             )
         elif strategy == "dp":
             result = simulate_data_parallel(
-                profile, topology, num_minibatches=minibatches, engine=engine,
+                profile, topology, num_minibatches=minibatches,
                 bucket_bytes=query.bucket_bytes,
             )
         elif strategy == "mp":
             result = simulate_model_parallel(
-                profile, topology, num_minibatches=minibatches, engine=engine,
+                profile, topology, num_minibatches=minibatches,
                 bucket_bytes=query.bucket_bytes,
             )
         elif strategy == "gpipe":
             result = simulate_gpipe(
                 profile, topology, num_batches=max(2, minibatches // 4),
-                engine=engine, bucket_bytes=query.bucket_bytes,
+                bucket_bytes=query.bucket_bytes,
             )
         else:
             raise RequestError(
@@ -479,6 +489,7 @@ class PlannerService:
         unknown = set(request) - allowed
         if unknown:
             raise RequestError(f"unknown request fields: {sorted(unknown)}")
+        _check_engine(request)
         models = request.get("models")
         if not models or not isinstance(models, (list, tuple)):
             raise RequestError("'models' must be a non-empty list")
@@ -503,7 +514,6 @@ class PlannerService:
                 strategies=tuple(request.get("strategies", ("dp", "pipedream"))),
                 device=request.get("device", "v100"),
                 minibatches=int(request.get("minibatches", 48)),
-                engine=request.get("engine", "event"),
                 workers=int(request.get("workers", 1)),
                 executor=request.get("executor", "auto"),
                 precisions=tuple(request.get("precisions", ("fp32",))),

@@ -17,37 +17,37 @@ being simulated:
 - ``"gpipe"`` — pipeline flush: forwards of batch ``k+1`` wait for batch
   ``k``'s update; optional activation recomputation inflates backwards.
 
-Two engines share one set of commit semantics (:class:`_SimCore`):
-
-- ``engine="event"`` (default) — an event-driven main loop: per-worker
-  head-op cursors, wakeup lists keyed on the exact resolution event each
-  blocked op waits for (activation/gradient arrival, forward completion,
-  update commit), and a min-heap of ready ops with lazy invalidation.
-  O(ops · log workers) commits.
-- ``engine="reference"`` — the original full-rescan loop that re-evaluates
-  every worker's head op on every commit, O(ops · workers).  Kept as the
-  equivalence oracle; both engines produce bitwise-identical
-  :class:`OpRecord` timelines (asserted by the test suite and the perf
-  harness).
+Compile, then run.  :func:`price_stages` prices every stage once (compute,
+boundary transfers, weight sync); :func:`_compile` turns the schedule's
+packed per-worker op codes (``minibatch << 2 | kind``) into per-rank
+tables — durations, dependency / update-gate / output event-slot bases,
+per-destination ``(channel, transfer seconds)`` pairs — and per-round
+membership counts; :func:`_run` is the one heap loop over those arrays.
+Every dependency resolves into a slot of one flat event-time array, and a
+blocked worker parks on exactly that slot.  Fault injection is a time
+transform at one site each — compute end (:meth:`FaultSchedule.compute_end`),
+transfer duration (:meth:`FaultSchedule.bandwidth_factor`) and the crash
+halt — so the fault-free and faulted runs are the same loop.  The loop is
+differentially tested against an op-level rescan oracle kept in the test
+suite.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.partition import Stage, allreduce_bytes_per_worker
+from repro.core.partition import Stage
 from repro.core.profile import ModelProfile
-from repro.core.schedule import Op, OpKind, Schedule
+from repro.core.schedule import B_CODE, F_CODE, U_CODE, Op, Schedule
 from repro.core.topology import Topology
 from repro.sim.faults import FaultSchedule
 from repro.sim.memory import stage_deferred_weight_bytes
 from repro.sim.network import Placement, allreduce_time
-
-ENGINES = ("event", "reference")
 
 
 @dataclass(slots=True)
@@ -66,7 +66,7 @@ class SimOptions:
     nic_contention: bool = False
     #: Deterministic fault injection (crash / straggler / bandwidth
     #: degradation at simulated timestamps).  None or an empty schedule
-    #: leaves every engine code path — and hence the timeline — bitwise
+    #: runs the fault-free arithmetic — the timeline is bitwise
     #: identical to a fault-free run.
     faults: Optional[FaultSchedule] = None
     #: Gradient-fusion granularity.  ``None`` (default) keeps the legacy
@@ -106,17 +106,70 @@ class OpRecord:
     end: float
 
 
+
+
+class CommitLog(SequenceABC):
+    """The committed ops of one run as ``(worker, op, start, end)`` rows.
+
+    The loop logs only global op indices in commit order plus per-op
+    start/end arrays; the rows (and their :class:`Op` objects) are built
+    on first element access.  ``len`` is the number of committed ops.
+    """
+
+    __slots__ = ("_schedule", "_commits", "_start", "_end", "_rows")
+
+    def __init__(self, schedule: Schedule, commits: List[int],
+                 start: List[float], end: List[float]):
+        self._schedule = schedule
+        self._commits = commits
+        self._start = start
+        self._end = end
+        self._rows: Optional[List[Tuple[int, Op, float, float]]] = None
+
+    def _materialized(self) -> List[Tuple[int, Op, float, float]]:
+        rows = self._rows
+        if rows is None:
+            ops: List[Op] = []
+            owner: List[int] = []
+            for worker, seq in self._schedule.worker_ops.items():
+                ops.extend(seq)
+                owner += [worker] * len(seq)
+            start, end = self._start, self._end
+            rows = self._rows = [
+                (owner[i], ops[i], start[i], end[i]) for i in self._commits
+            ]
+            self._start = self._end = None
+        return rows
+
+    def __len__(self) -> int:
+        return len(self._commits)
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
+
+    def __iter__(self):
+        return iter(self._materialized())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SequenceABC):
+            return self._materialized() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @dataclass
 class SimResult:
     """Timeline and summary statistics of one simulated run.
 
-    The engines log the timeline as raw ``(worker, op, start, end)``
-    tuples; :attr:`records` materializes them into :class:`OpRecord`
-    objects on first access.  Aggregate-only consumers (the sweeps and
-    strategy drivers) never pay for record construction.
+    :attr:`raw_records` holds the timeline as ``(worker, op, start, end)``
+    rows in commit order (built lazily from the loop's commit log);
+    :attr:`records` materializes them into :class:`OpRecord` objects on
+    first access.  Aggregate-only consumers (the sweeps and strategy
+    drivers) never pay for either.
     """
 
-    raw_records: List[Tuple[int, Op, float, float]]
+    raw_records: Sequence[Tuple[int, Op, float, float]]
     total_time: float
     num_minibatches: int
     num_workers: int
@@ -185,6 +238,8 @@ class SimResult:
         return [r for r in self.records if r.worker == worker]
 
 
+
+
 def stage_compute_times(
     profile: ModelProfile, stages: Sequence[Stage], compute_scale: float = 1.0
 ) -> Tuple[List[float], List[float]]:
@@ -198,1109 +253,699 @@ def stage_compute_times(
     return fwd, bwd
 
 
-class _SimCore:
-    """Shared simulation state and commit semantics for both engines.
+class StagePricing:
+    """Per-stage prices of one (schedule, profile, topology, options).
 
-    Hot-path bookkeeping uses *flattened* integer keys instead of tuples:
-    a (stage, minibatch) pair maps to ``stage * B + minibatch`` (``B`` =
-    number of minibatches), and the four dependency-resolution event
-    families are disjoint integer ranges offset by multiples of
-    ``num_stages * B``.  This avoids rebuilding ``(kind, s, b)`` tuples in
-    the inner loops and lets the event engine key its wakeup lists on plain
-    ints.
+    ``fwd_time`` / ``bwd_time`` / ``bwd_w_time``: one minibatch's forward,
+    (grad-input) backward and 2BP grad-weight seconds at unit worker
+    speed, tensor-parallel collectives and recompute folded in;
+    ``boundary_bytes[s]``: activation bytes crossing the ``s -> s+1``
+    boundary; ``sync_stream`` / ``sync_deferred`` / ``sync_duration``:
+    a round's overlappable, post-backward and total all_reduce seconds;
+    ``bucket_durs`` / ``bucket_fracs``: per-bucket collective seconds and
+    ready fractions when gradients are bucketed (else None).
     """
 
     __slots__ = (
-        "schedule", "options", "stages", "last_stage", "B", "S",
-        "fwd_time", "bwd_time", "bwd_w_time", "boundary_bytes",
-        "sync_duration", "sync_stream", "sync_deferred",
-        "placement", "workers", "ops_by_rank", "stage_workers_list",
-        "replicas", "round_div", "round_expected", "gated_forward",
-        "pipedream_gate", "is_bsp", "is_gpipe",
-        "worker_free", "speed", "channel_free", "channel_busy",
-        "nic_send_free", "nic_recv_free", "sync_free", "sync_busy",
-        "arrivals_f", "arrivals_b", "fwd_end", "bwd_start", "update_done",
-        "round_backwards", "minibatch_done", "records", "compute_time",
-        "fired", "bumped", "nk", "AB_OFF", "FE_OFF", "UD_OFF", "_bw_cache",
-        "faults", "halt_time", "halted", "_lvl_cache",
-        "bucket_durs", "bucket_fracs", "sync_exposed",
+        "placement", "fwd_time", "bwd_time", "bwd_w_time", "boundary_bytes",
+        "sync_duration", "sync_stream", "sync_deferred", "bucket_durs",
+        "bucket_fracs",
     )
 
-    def __init__(
-        self,
-        schedule: Schedule,
-        profile: ModelProfile,
-        topology: Topology,
-        options: SimOptions,
-    ):
-        self.schedule = schedule
-        self.options = options
-        stages = schedule.stages
-        self.stages = stages
-        self.last_stage = len(stages) - 1
-        self.S = len(stages)
-        self.B = max(1, schedule.num_minibatches)
-        self.placement = Placement(topology)
 
-        fwd_time, bwd_time = stage_compute_times(
-            profile, stages, topology.compute_scale
+def price_stages(
+    schedule: Schedule,
+    profile: ModelProfile,
+    topology: Topology,
+    options: SimOptions,
+) -> StagePricing:
+    """Price every stage of ``schedule`` once (see :class:`StagePricing`)."""
+    p = StagePricing()
+    stages = schedule.stages
+    placement = p.placement = Placement(topology)
+    fwd_time, bwd_time = stage_compute_times(
+        profile, stages, topology.compute_scale
+    )
+    # Tensor parallelism: a stage's shardable compute divides by its
+    # tp_degree (the non-shardable remainder is replicated across the
+    # tp group), *before* the 2BP split and recompute transforms — the
+    # replayed forward and the grad-weight half operate on the sharded
+    # durations.  The boundary-activation collectives are added after
+    # those transforms (recompute rebuilds from the already-gathered
+    # boundary stash, so it replays compute, not collectives).  Stages
+    # at tp_degree == 1 take no branch, keeping the timeline bitwise
+    # identical to the two-axis simulator.
+    tp_active = any(stage.tp_degree > 1 for stage in stages)
+    shard_tables = None
+    if tp_active:
+        if options.bucket_bytes is not None:
+            raise ValueError(
+                "bucket_bytes cannot be combined with tensor-parallel "
+                "stages: bucketing of sharded gradients is not modeled")
+        from repro.core.sharding import sharding_tables
+
+        shard_tables = sharding_tables(profile)
+        scale = topology.compute_scale
+        for s, stage in enumerate(stages):
+            t = stage.tp_degree
+            if t > 1:
+                sf = shard_tables.shard_forward_time(
+                    stage.start, stage.stop) / scale
+                sb = shard_tables.shard_backward_time(
+                    stage.start, stage.stop) / scale
+                fwd_time[s] = fwd_time[s] - sf + sf / t
+                bwd_time[s] = bwd_time[s] - sb + sb / t
+    # 2BP backward split (schedules with ``backward_split``): the
+    # grad-weight half leaves the critical grad-input path *before*
+    # recompute is applied — the replayed forward must precede
+    # grad-input (it rebuilds the tape), while grad-weight work is
+    # pure local math that checkpointing never touches.  The halves
+    # conserve the unsplit duration exactly (w = b/2, i = b - w).
+    if schedule.backward_split:
+        bwd_w_time = [0.5 * b for b in bwd_time]
+        bwd_time = [b - w for b, w in zip(bwd_time, bwd_w_time)]
+    else:
+        bwd_w_time = [0.0] * len(bwd_time)
+    if options.recompute_activations:
+        bwd_time = [b + f for f, b in zip(fwd_time, bwd_time)]
+    elif any(stage.recompute for stage in stages):
+        # Planner-chosen per-stage checkpointing: only flagged stages
+        # replay their forward; the guard keeps recompute-free plans
+        # on the untouched list.
+        bwd_time = [
+            b + f if stage.recompute else b
+            for stage, f, b in zip(stages, fwd_time, bwd_time)
+        ]
+    if tp_active:
+        # Intra-stage collectives, folded into the per-op durations so
+        # they are priced through the same precomputed lists:
+        # every forward ends with a ring all_reduce of the stage's
+        # output-boundary activation over its tp group (allgather of
+        # the column-parallel halves — priced on the *last* stage too,
+        # so sharded compute is never free), and every backward (past
+        # stage 0) runs the reduce-scatter on the input boundary.  The
+        # r per-replica groups run concurrently; the stage-wide
+        # duration is governed by the slowest group, the same rule the
+        # analytic evaluator applies.  Charged per group over the
+        # group's own worker ids — never the fused replicas x tp span.
+        for s, stage in enumerate(stages):
+            t = stage.tp_degree
+            if t > 1:
+                out_act = profile.activation_bytes(stage.stop - 1)
+                in_act = (profile.activation_bytes(stage.start - 1)
+                          if stage.start > 0 else 0)
+                out_term = in_term = 0.0
+                for rep in schedule.stage_workers[s]:
+                    group = list(range(rep, rep + t))
+                    out_term = max(out_term, allreduce_time(
+                        placement, group, out_act))
+                    in_term = max(in_term, allreduce_time(
+                        placement, group, in_act))
+                fwd_time[s] = fwd_time[s] + out_term
+                bwd_time[s] = bwd_time[s] + in_term
+    p.fwd_time = fwd_time
+    p.bwd_time = bwd_time
+    p.bwd_w_time = bwd_w_time
+
+    p.boundary_bytes = [
+        profile.activation_bytes(stage.stop - 1) for stage in stages[:-1]
+    ]
+    stage_weight_bytes = [
+        profile.weight_bytes(stage.start, stage.stop) for stage in stages
+    ]
+
+    # All_reduce duration per stage round (zero when unreplicated).  For
+    # wait-free backprop the paper's overlap only applies to gradients
+    # that are complete *during* the backward pass: conv/fc weight
+    # gradients finish when their layer's backward runs, but
+    # BPTT-accumulated kinds (LSTM, embedding) keep accumulating until
+    # the backward pass ends and therefore cannot be overlapped — the
+    # reason DP fares poorly on the paper's translation and
+    # language-modelling workloads.
+    sync_duration: List[float] = []
+    sync_stream: List[float] = []
+    sync_deferred: List[float] = []
+    for s, stage in enumerate(stages):
+        workers = schedule.stage_workers[s]
+        # The same decomposition the planner's memory kernel prices:
+        # deferred = BPTT-accumulated weights (RECURRENT_KINDS).
+        deferred_bytes = stage_deferred_weight_bytes(
+            profile, stage.start, stage.stop
         )
-        # Tensor parallelism: a stage's shardable compute divides by its
-        # tp_degree (the non-shardable remainder is replicated across the
-        # tp group), *before* the 2BP split and recompute transforms — the
-        # replayed forward and the grad-weight half operate on the sharded
-        # durations.  The boundary-activation collectives are added after
-        # those transforms (recompute rebuilds from the already-gathered
-        # boundary stash, so it replays compute, not collectives).  Stages
-        # at tp_degree == 1 take no branch, keeping the timeline bitwise
-        # identical to the two-axis simulator.
-        tp_active = any(stage.tp_degree > 1 for stage in stages)
-        shard_tables = None
-        if tp_active:
-            if options.bucket_bytes is not None:
-                raise ValueError(
-                    "bucket_bytes cannot be combined with tensor-parallel "
-                    "stages: bucketing of sharded gradients is not modeled")
-            from repro.core.sharding import sharding_tables
-
-            shard_tables = sharding_tables(profile)
-            scale = topology.compute_scale
-            for s, stage in enumerate(stages):
-                t = stage.tp_degree
-                if t > 1:
-                    sf = shard_tables.shard_forward_time(
-                        stage.start, stage.stop) / scale
-                    sb = shard_tables.shard_backward_time(
-                        stage.start, stage.stop) / scale
-                    fwd_time[s] = fwd_time[s] - sf + sf / t
-                    bwd_time[s] = bwd_time[s] - sb + sb / t
-        # 2BP backward split (schedules with ``backward_split``): the
-        # grad-weight half leaves the critical grad-input path *before*
-        # recompute is applied — the replayed forward must precede
-        # grad-input (it rebuilds the tape), while grad-weight work is
-        # pure local math that checkpointing never touches.  The halves
-        # conserve the unsplit duration exactly (w = b/2, i = b - w).
-        if schedule.backward_split:
-            bwd_w_time = [0.5 * b for b in bwd_time]
-            bwd_time = [b - w for b, w in zip(bwd_time, bwd_w_time)]
+        if stage.tp_degree > 1:
+            # Each of the t concurrent shard rings syncs its own slice:
+            # the replicated (unshardable) weights plus a 1/t shard of
+            # the shardable share.  ``workers`` holds one representative
+            # per replica (tp-group leaders, strided tp_degree apart),
+            # so allreduce_time charges exactly the levels the strided
+            # ring crosses.  Deferred (BPTT) weights are unshardable by
+            # construction and stay full.
+            shard_w = shard_tables.shard_weight_bytes(
+                stage.start, stage.stop)
+            stream_bytes = ((stage_weight_bytes[s] - deferred_bytes)
+                            - shard_w + shard_w / stage.tp_degree)
         else:
-            bwd_w_time = [0.0] * len(bwd_time)
-        if options.recompute_activations:
-            bwd_time = [b + f for f, b in zip(fwd_time, bwd_time)]
-        elif any(stage.recompute for stage in stages):
-            # Planner-chosen per-stage checkpointing: only flagged stages
-            # replay their forward; the guard keeps recompute-free plans
-            # on the untouched list.
-            bwd_time = [
-                b + f if stage.recompute else b
-                for stage, f, b in zip(stages, fwd_time, bwd_time)
-            ]
-        if tp_active:
-            # Intra-stage collectives, folded into the per-op durations so
-            # both engines price them through the same precomputed lists:
-            # every forward ends with a ring all_reduce of the stage's
-            # output-boundary activation over its tp group (allgather of
-            # the column-parallel halves — priced on the *last* stage too,
-            # so sharded compute is never free), and every backward (past
-            # stage 0) runs the reduce-scatter on the input boundary.  The
-            # r per-replica groups run concurrently; the stage-wide
-            # duration is governed by the slowest group, the same rule the
-            # analytic evaluator applies.  Charged per group over the
-            # group's own worker ids — never the fused replicas x tp span.
-            for s, stage in enumerate(stages):
-                t = stage.tp_degree
-                if t > 1:
-                    out_act = profile.activation_bytes(stage.stop - 1)
-                    in_act = (profile.activation_bytes(stage.start - 1)
-                              if stage.start > 0 else 0)
-                    out_term = in_term = 0.0
-                    for rep in schedule.stage_workers[s]:
-                        group = list(range(rep, rep + t))
-                        out_term = max(out_term, allreduce_time(
-                            self.placement, group, out_act))
-                        in_term = max(in_term, allreduce_time(
-                            self.placement, group, in_act))
-                    fwd_time[s] = fwd_time[s] + out_term
-                    bwd_time[s] = bwd_time[s] + in_term
-        self.fwd_time = fwd_time
-        self.bwd_time = bwd_time
-        self.bwd_w_time = bwd_w_time
+            stream_bytes = stage_weight_bytes[s] - deferred_bytes
+        sync_stream.append(allreduce_time(placement, workers, stream_bytes))
+        sync_deferred.append(allreduce_time(placement, workers, deferred_bytes))
+        sync_duration.append(sync_stream[-1] + sync_deferred[-1])
+    # Gradient bucketing: pre-price every bucket's collective per stage
+    # (same fused spans as the analytic evaluator, from the one shared
+    # bucket former).  The stream payload then costs the *sum* of its
+    # bucket collectives — each paying the topology's per-collective
+    # setup latency again — and the round commit walks them in firing
+    # order instead of pricing one monolithic payload.  ``None`` skips
+    # all of this and leaves every duration bitwise unchanged.
+    bucket_durs: Optional[List[List[float]]] = None
+    bucket_fracs: Optional[List[List[float]]] = None
+    if options.bucket_bytes is not None:
+        from repro.comm.bucketing import gradient_buckets
 
-        self.boundary_bytes = [
-            profile.activation_bytes(stage.stop - 1) for stage in stages[:-1]
-        ]
-        stage_weight_bytes = [
-            profile.weight_bytes(stage.start, stage.stop) for stage in stages
-        ]
-
-        # All_reduce duration per stage round (zero when unreplicated).  For
-        # wait-free backprop the paper's overlap only applies to gradients
-        # that are complete *during* the backward pass: conv/fc weight
-        # gradients finish when their layer's backward runs, but
-        # BPTT-accumulated kinds (LSTM, embedding) keep accumulating until
-        # the backward pass ends and therefore cannot be overlapped — the
-        # reason DP fares poorly on the paper's translation and
-        # language-modelling workloads.
-        sync_duration: List[float] = []
-        sync_stream: List[float] = []
-        sync_deferred: List[float] = []
+        bucket_durs = []
+        bucket_fracs = []
         for s, stage in enumerate(stages):
             workers = schedule.stage_workers[s]
-            # The same decomposition the planner's memory kernel prices:
-            # deferred = BPTT-accumulated weights (RECURRENT_KINDS).
-            deferred_bytes = stage_deferred_weight_bytes(
-                profile, stage.start, stage.stop
+            buckets = gradient_buckets(
+                profile, stage.start, stage.stop, options.bucket_bytes
             )
-            if stage.tp_degree > 1:
-                # Each of the t concurrent shard rings syncs its own slice:
-                # the replicated (unshardable) weights plus a 1/t shard of
-                # the shardable share.  ``workers`` holds one representative
-                # per replica (tp-group leaders, strided tp_degree apart),
-                # so allreduce_time charges exactly the levels the strided
-                # ring crosses.  Deferred (BPTT) weights are unshardable by
-                # construction and stay full.
-                shard_w = shard_tables.shard_weight_bytes(
-                    stage.start, stage.stop)
-                stream_bytes = ((stage_weight_bytes[s] - deferred_bytes)
-                                - shard_w + shard_w / stage.tp_degree)
-            else:
-                stream_bytes = stage_weight_bytes[s] - deferred_bytes
-            sync_stream.append(allreduce_time(self.placement, workers, stream_bytes))
-            sync_deferred.append(allreduce_time(self.placement, workers, deferred_bytes))
-            sync_duration.append(sync_stream[-1] + sync_deferred[-1])
-        # Gradient bucketing: pre-price every bucket's collective per stage
-        # (same fused spans as the analytic evaluator, from the one shared
-        # bucket former).  The stream payload then costs the *sum* of its
-        # bucket collectives — each paying the topology's per-collective
-        # setup latency again — and the round commit walks them in firing
-        # order instead of pricing one monolithic payload.  ``None`` skips
-        # all of this and leaves every duration bitwise unchanged.
-        bucket_durs: Optional[List[List[float]]] = None
-        bucket_fracs: Optional[List[List[float]]] = None
-        if options.bucket_bytes is not None:
-            from repro.comm.bucketing import gradient_buckets
+            durs = [
+                allreduce_time(placement, workers, bk.payload_bytes)
+                for bk in buckets
+            ]
+            bucket_durs.append(durs)
+            bucket_fracs.append([bk.ready_fraction for bk in buckets])
+            sync_stream[s] = sum(durs)
+            sync_duration[s] = sync_stream[s] + sync_deferred[s]
+    p.bucket_durs = bucket_durs
+    p.bucket_fracs = bucket_fracs
+    p.sync_duration = sync_duration
+    p.sync_stream = sync_stream
+    p.sync_deferred = sync_deferred
 
-            bucket_durs = []
-            bucket_fracs = []
-            for s, stage in enumerate(stages):
-                workers = schedule.stage_workers[s]
-                buckets = gradient_buckets(
-                    profile, stage.start, stage.stop, options.bucket_bytes
-                )
-                durs = [
-                    allreduce_time(self.placement, workers, bk.payload_bytes)
-                    for bk in buckets
-                ]
-                bucket_durs.append(durs)
-                bucket_fracs.append([bk.ready_fraction for bk in buckets])
-                sync_stream[s] = sum(durs)
-                sync_duration[s] = sync_stream[s] + sync_deferred[s]
-        self.bucket_durs = bucket_durs
-        self.bucket_fracs = bucket_fracs
-        self.sync_duration = sync_duration
-        self.sync_stream = sync_stream
-        self.sync_deferred = sync_deferred
+    return p
 
-        # Commit-order tie-breaking follows the worker_ops iteration order.
-        self.workers = list(schedule.worker_ops)
-        self.ops_by_rank = [schedule.worker_ops[w] for w in self.workers]
-        self.stage_workers_list = [schedule.stage_workers[s] for s in range(self.S)]
-        self.replicas = [stage.replicas for stage in stages]
 
-        # Synchronization round of minibatch b at stage s is b // round_div[s]
-        # (see round semantics below); precomputed per stage.
-        if options.sync_mode == "bsp":
-            self.round_div = [1] * self.S
-        elif options.sync_mode == "gpipe":
-            self.round_div = [max(1, options.microbatches_per_batch)] * self.S
+class _Program:
+    """A schedule compiled for :func:`_run`.
+
+    Ranks index workers in ``worker_ops`` order (the commit tie-break).
+    Rank ``r`` runs ``codes[lo[r]:hi[r]]`` — the packed op codes
+    ``minibatch << 2 | kind`` of its worker, all of one stage.  ``hi[r]``
+    stops short of the full list at a last-stage backward whose own
+    forward does not precede it on the worker: that op can never start,
+    so the run deadlocks there (see :func:`_compile`).
+
+    Event slots, one flat array: ``[0, nk)`` activation arrivals,
+    ``[nk, 2nk)`` gradient arrivals, ``[2nk, 3nk)`` update commits, each
+    keyed ``stage * B + minibatch`` (``stage * B + round`` for commits),
+    with ``nk = stages * B``.  Per rank, a dependency slot is a base plus
+    the op's minibatch (or round); a base of -1 means "none".
+    """
+
+    __slots__ = (
+        "schedule", "pricing", "nslots", "codes", "workers", "lo", "hi",
+        "stage", "fdur", "bdur", "wdur", "fdep", "bdep", "fgate", "bgate",
+        "rdiv", "fout", "bout", "fsend", "bsend", "ubase", "usimple",
+        "members", "groups", "ch_pair", "id_span", "is_bsp",
+        "nic_contention",
+    )
+
+
+def _compile(schedule: Schedule, pricing: StagePricing,
+             options: SimOptions) -> _Program:
+    """Lay ``schedule`` out for :func:`_run` (see :class:`_Program`).
+
+    The last stage's backward waits on its own forward having ended; on
+    its worker that forward commits earlier (``worker_free`` only grows),
+    so the wait never binds and is dropped.  Only a backward *ahead of*
+    its forward would bind — forever — and truncating the rank there
+    reproduces that deadlock.
+    """
+    stages = schedule.stages
+    S = len(stages)
+    last = S - 1
+    B = max(1, schedule.num_minibatches)
+    nk = S * B
+    mode = options.sync_mode
+    is_bsp = mode == "bsp"
+    # Synchronization round of minibatch b at stage s is b // round_div[s]:
+    # BSP syncs every minibatch (each worker runs its shard of every
+    # one), GPipe once per batch of microbatches, PipeDream once per sweep
+    # across the stage's round-robin replicas.
+    if is_bsp:
+        round_div = [1] * S
+    elif mode == "gpipe":
+        round_div = [max(1, options.microbatches_per_batch)] * S
+    else:
+        round_div = [stage.replicas for stage in stages]
+    # Stages whose every commit is a single-member round.
+    simple = [not is_bsp and (mode == "gpipe" or stage.replicas == 1)
+              for stage in stages]
+
+    prog = _Program()
+    prog.schedule = schedule
+    prog.pricing = pricing
+    prog.nslots = 3 * nk
+    prog.is_bsp = is_bsp
+    prog.nic_contention = options.nic_contention
+    worker_codes = schedule.worker_codes
+    worker_stage = schedule.worker_stage
+    workers = prog.workers = list(worker_codes)
+    codes: List[int] = []
+    lo: List[int] = []
+    hi: List[int] = []
+    for w in workers:
+        lo.append(len(codes))
+        codes += worker_codes[w]
+        hi.append(len(codes))
+    if codes and (min(codes) < 0 or max(codes) >> 2 >= B):
+        raise ValueError(
+            f"schedule minibatch ids must lie in [0, {B})")
+    prog.codes, prog.lo, prog.hi = codes, lo, hi
+
+    placement = pricing.placement
+    channels: Dict[Tuple[int, int], int] = {}
+
+    def link(src: int, dst: int, nbytes: float):
+        if src == dst or nbytes <= 0:
+            return None
+        pair = (src, dst)
+        ch = channels.get(pair)
+        if ch is None:
+            ch = channels[pair] = len(channels)
+        return ch, nbytes / placement.link_bandwidth(src, dst)
+
+    fwd, bwd, bwd_w = pricing.fwd_time, pricing.bwd_time, pricing.bwd_w_time
+    boundary = pricing.boundary_bytes
+    stage_workers = schedule.stage_workers
+    prog.stage = []
+    prog.fdur, prog.bdur, prog.wdur = [], [], []
+    prog.fdep, prog.bdep, prog.fgate, prog.bgate = [], [], [], []
+    prog.rdiv, prog.ubase, prog.usimple = [], [], []
+    prog.fout, prog.bout, prog.fsend, prog.bsend = [], [], [], []
+    gated_forward = mode != "pipedream"
+    members: Counter = Counter()
+    for r, w in enumerate(workers):
+        s = worker_stage[w]
+        if not 0 <= s < S:
+            raise ValueError(f"worker {w} serves unknown stage {s}")
+        speed = options.speed_of(w)
+        sB = s * B
+        prog.stage.append(s)
+        prog.fdur.append(fwd[s] / speed)
+        prog.bdur.append(bwd[s] / speed)
+        prog.wdur.append(bwd_w[s] / speed)
+        prog.fdep.append(sB if s > 0 else -1)
+        prog.bdep.append(nk + sB if s < last else -1)
+        prog.fgate.append(2 * nk + sB if gated_forward else -1)
+        prog.bgate.append(
+            2 * nk + sB
+            if mode == "pipedream" and stages[s].replicas > 1 else -1)
+        prog.rdiv.append(round_div[s])
+        prog.ubase.append(2 * nk + sB)
+        prog.usimple.append(simple[s])
+        if s < last:
+            prog.fout.append(sB + B)
+            prog.fsend.append([link(w, dst, boundary[s])
+                               for dst in stage_workers[s + 1]])
         else:
-            self.round_div = [stage.replicas for stage in stages]
-        self.gated_forward = options.sync_mode in ("bsp", "gpipe")
-        self.pipedream_gate = options.sync_mode == "pipedream"
-        self.is_bsp = options.sync_mode == "bsp"
-        self.is_gpipe = options.sync_mode == "gpipe"
+            prog.fout.append(-1)
+            prog.fsend.append(None)
+        if s > 0:
+            prog.bout.append(nk + sB - B)
+            prog.bsend.append([link(w, dst, boundary[s - 1])
+                               for dst in stage_workers[s - 1]])
+        else:
+            prog.bout.append(-1)
+            prog.bsend.append(None)
+        if not simple[s]:
+            # Round membership is read off the UPDATE ops the schedule
+            # emits: one per minibatch for round-robin 1F1B, one per
+            # replica and minibatch for data-parallel schedules.
+            rd, base = round_div[s], 2 * nk + sB
+            members.update(base + (c >> 2) // rd
+                           for c in worker_codes[w] if c & 3 == U_CODE)
+        if s == last and not schedule.forward_first:
+            forwards = set()
+            for j, c in enumerate(worker_codes[w]):
+                if c & 3 == F_CODE:
+                    forwards.add(c)
+                elif c & 3 == B_CODE and c - B_CODE not in forwards:
+                    hi[r] = lo[r] + j
+                    break
+    prog.members = members
+    rank_of = {w: r for r, w in enumerate(workers)}
+    prog.groups = [[rank_of[w] for w in stage_workers[s] if w in rank_of]
+                   for s in range(S)]
+    prog.ch_pair = list(channels)
+    ids = [w for group in stage_workers.values() for w in group]
+    prog.id_span = max(ids + workers, default=-1) + 1
+    return prog
 
-        # Per-round membership comes from the ops the schedule actually
-        # emits, not from an assumed round-robin minibatch→replica
-        # assignment.  A round-robin 1F1B schedule has one UPDATE per
-        # minibatch in a round, but ``data_parallel_schedule`` runs every
-        # minibatch on every replica — under ``sync_mode="pipedream"`` the
-        # old ``min(per, B - rnd*per)`` closed those rounds after the first
-        # sweep's worth of commits and then *re*-committed them on each
-        # later arrival, making ``update_done`` (and the rnd-2 backward
-        # gate reading it) depend on replica commit order.  Counting the
-        # schedule's own UPDATEs gives every round its true membership for
-        # any schedule shape.
-        round_expected: Dict[int, int] = defaultdict(int)
-        for ops in self.ops_by_rank:
-            for op in ops:
-                if op.kind is OpKind.UPDATE:
-                    s = op.stage
-                    round_expected[
-                        s * self.B + op.minibatch // self.round_div[s]
-                    ] += 1
-        self.round_expected = dict(round_expected)
 
-        self.worker_free = {w: 0.0 for w in self.workers}
-        self.speed = {w: options.speed_of(w) for w in self.workers}
-        self.channel_free: Dict[Tuple[int, int], float] = defaultdict(float)
-        self.channel_busy: Dict[Tuple[int, int], float] = defaultdict(float)
-        self.nic_send_free: Dict[int, float] = defaultdict(float)
-        self.nic_recv_free: Dict[int, float] = defaultdict(float)
-        self.sync_free = [0.0] * self.S
-        self.sync_busy: Dict[int, float] = defaultdict(float)
-        self.sync_exposed: Dict[int, float] = defaultdict(float)
+def _deadlock(prog: _Program, ptr: List[int]) -> RuntimeError:
+    stuck = {}
+    for r, w in enumerate(prog.workers):
+        ops = prog.schedule.worker_ops[w]
+        idx = ptr[r] - prog.lo[r]
+        if idx < len(ops):
+            stuck[w] = ops[idx]
+    return RuntimeError(f"simulation deadlocked; blocked ops: {stuck}")
 
-        self.arrivals_f: Dict[int, float] = {}
-        self.arrivals_b: Dict[int, float] = {}
-        # fwd_end / bwd_start are keyed ``worker * nk + s * B + b``: a
-        # worker's backward consumes *its own* forward's activations, and a
-        # BSP round collects each member's own backward start.  A shared
-        # (s, b) key would collide when a replicated stage runs the same
-        # minibatch id on every worker (data-parallel schedules), making
-        # results depend on replica commit order under stragglers.
-        self.fwd_end: Dict[int, float] = {}
-        self.bwd_start: Dict[int, float] = {}
-        self.update_done: Dict[int, float] = {}
-        self.round_backwards: Dict[int, List[Tuple[float, float]]] = {}
-        self.minibatch_done: Dict[int, float] = {}
-        self.records: List[Tuple[int, Op, float, float]] = []
-        self.compute_time: Dict[int, float] = defaultdict(float)
 
-        # Resolution events fired by the most recent commit, as flattened
-        # keys: arrivals_f use the raw (s, b) index, the other families are
-        # offset into disjoint ranges.
-        nk = self.nk = self.S * self.B
-        self.AB_OFF = nk
-        self.FE_OFF = 2 * nk
-        self.UD_OFF = 3 * nk
-        self.fired: List[int] = []
-        #: Workers whose ``worker_free`` the most recent commit pushed
-        #: forward from *outside* their own commit — only BSP round commits
-        #: do this (the whole stage group resumes at the round's commit
-        #: time).  The event engine uses it for per-stage-group dirty
-        #: marking: only these workers' queued ready times can be stale.
-        self.bumped: List[int] = []
-        self._bw_cache: Dict[Tuple[int, int], float] = {}
-        self._lvl_cache: Dict[Tuple[int, int], int] = {}
+def _run(prog: _Program, faults: Optional[FaultSchedule]) -> SimResult:
+    """The heap loop: commit the earliest-startable head op, repeatedly.
 
-        # An empty schedule is normalized away so the empty case takes
-        # the exact fault-free code paths — the bitwise no-op guarantee
-        # is structural, not arithmetic.
-        faults = options.faults
-        if faults is not None and not faults:
-            faults = None
-        self.faults = faults
-        self.halt_time = faults.halt_time if faults is not None else None
-        self.halted = False
+    Invariant: every rank with ops left is in the heap (head op ready
+    when enqueued), parked on exactly one event slot's wait list (head
+    op blocked on that event), or the fast-lane candidate ``nxt``.
+    Dependencies resolve once and for good, so a queued ready time can
+    only go stale when a BSP round commit pushes a whole stage group's
+    ``worker_free`` forward; those commits dirty-mark the ranks they
+    bumped, and a dirty pop re-clamps against ``worker_free``.  Ready
+    times never decrease, so popping ``(time, rank)`` reproduces the
+    rescan oracle's earliest-first, lowest-rank-on-ties commit order —
+    and the timeline bitwise.
 
-    # ------------------------------------------------------------------
-    # Round semantics
-    # ------------------------------------------------------------------
-    # BSP: every worker processes (its shard of) every minibatch, so each
-    # minibatch is one collective round.  GPipe: one round per batch of
-    # microbatches.  PipeDream: replicas round-robin over minibatches, so a
-    # round is one sweep across the stage's replicas.
+    Faults enter at three sites: a compute op's end
+    (``faults.compute_end``), a transfer's duration
+    (``faults.bandwidth_factor`` at its contended begin time) and the
+    crash halt (nothing starts at or after ``faults.halt_time``; commit
+    times are non-decreasing, so the faulted timeline is a prefix).
+    """
+    # Op kinds are the low two bits of a code: 0 forward, 1 backward,
+    # 2 grad-weight, 3 update (``repro.core.schedule.KIND_CODES``).
+    schedule = prog.schedule
+    pricing = prog.pricing
+    codes, workers, lo, hi = prog.codes, prog.workers, prog.lo, prog.hi
+    rstage, rdiv, ubase, usimple = prog.stage, prog.rdiv, prog.ubase, prog.usimple
+    fdur, bdur, wdur = prog.fdur, prog.bdur, prog.wdur
+    fdep, bdep, fgate, bgate = prog.fdep, prog.bdep, prog.fgate, prog.bgate
+    fout, bout, fsend, bsend = prog.fout, prog.bout, prog.fsend, prog.bsend
+    members, groups, is_bsp = prog.members, prog.groups, prog.is_bsp
+    sdur, sstream = pricing.sync_duration, pricing.sync_stream
+    sdef = pricing.sync_deferred
+    bdurs, bfracs = pricing.bucket_durs, pricing.bucket_fracs
+    nranks = len(workers)
+    nslots = prog.nslots
 
-    def _round_members(self, stage_index: int, rnd: int) -> int:
-        """How many UPDATE ops make up this round (tail rounds are short).
+    ev: List[Optional[float]] = [None] * nslots
+    waiters: List[Optional[List[int]]] = [None] * nslots
+    ptr = list(lo)
+    wf = [0.0] * nranks
+    dirty = [False] * nranks
+    compute: List[Optional[float]] = [None] * nranks
+    compute_order: List[int] = []
+    nchan = len(prog.ch_pair)
+    ch_dst = [dst for _, dst in prog.ch_pair]
+    ch_free = [0.0] * nchan
+    ch_busy: List[Optional[float]] = [None] * nchan
+    ch_order: List[int] = []
+    nic = prog.nic_contention
+    nic_send = [0.0] * prog.id_span
+    nic_recv = [0.0] * prog.id_span
+    sync_free = [0.0] * len(sdur)
+    sync_busy: Dict[int, float] = {}
+    sync_exposed: Dict[int, float] = {}
+    round_backs: Dict[int, List[Tuple[float, float]]] = {}
+    minibatch_done: Dict[int, float] = {}
+    n = len(codes)
+    start_of = [0.0] * n
+    end_of = [0.0] * n
+    commits: List[int] = []
+    log = commits.append
 
-        Read off the schedule itself (see ``round_expected`` in
-        ``__init__``): one per replica-and-minibatch for data-parallel
-        schedules, one per minibatch for round-robin 1F1B, one aggregated
-        per batch for GPipe.
-        """
-        return self.round_expected.get(stage_index * self.B + rnd, 1)
+    halt = compute_end = bw_factor = ch_level = None
+    if faults is not None:
+        halt = faults.halt_time
+        compute_end = faults.compute_end
+        bw_factor = faults.bandwidth_factor
+        placement = pricing.placement
+        ch_level = [placement.link_level(src, dst)
+                    for src, dst in prog.ch_pair]
 
-    # ------------------------------------------------------------------
-    # Readiness
-    # ------------------------------------------------------------------
-    def _ready(self, worker: int, op: Op) -> Optional[float]:
-        """Earliest start for ``op``, or None if a dependency is unresolved."""
-        t = self.worker_free[worker]
-        kind = op.kind
-        if kind is OpKind.UPDATE or kind is OpKind.BACKWARD_W:
-            # UPDATE and the 2BP grad-weight op run right after their
-            # backward on the same worker — no cross-worker dependency.
-            return t
-        s = op.stage
-        sB = s * self.B
-        b = op.minibatch
-        if kind is OpKind.FORWARD:
-            if s > 0:
-                arrival = self.arrivals_f.get(sB + b)
-                if arrival is None:
+    def ready(r: int):
+        """``(start, r)`` if rank ``r``'s head op can start, else park
+        ``r`` on the first unresolved event and return None."""
+        c = codes[ptr[r]]
+        k = c & 3
+        t = wf[r]
+        if k >= 2:
+            return (t, r)  # grad-weight and update follow their backward
+        b = c >> 2
+        if k == 0:
+            base, gate, lag = fdep[r], fgate[r], 1
+        else:
+            base, gate, lag = bdep[r], bgate[r], 2
+        if base >= 0:
+            slot = base + b
+            a = ev[slot]
+            if a is None:
+                parked = waiters[slot]
+                if parked is None:
+                    waiters[slot] = [r]
+                else:
+                    parked.append(r)
+                return None
+            if a > t:
+                t = a
+        if gate >= 0:
+            # Forwards wait for the previous round's commit (BSP, GPipe);
+            # pipedream backwards run at most two rounds ahead of it.
+            rnd = b // rdiv[r]
+            if rnd >= lag:
+                slot = gate + rnd - lag
+                a = ev[slot]
+                if a is None:
+                    parked = waiters[slot]
+                    if parked is None:
+                        waiters[slot] = [r]
+                    else:
+                        parked.append(r)
                     return None
-                if arrival > t:
-                    t = arrival
-            if self.gated_forward:
-                rnd = b // self.round_div[s]
-                if rnd > 0:
-                    gate = self.update_done.get(sB + rnd - 1)
-                    if gate is None:
-                        return None
-                    if gate > t:
-                        t = gate
-            return t
-        # BACKWARD
-        if s == self.last_stage:
-            end = self.fwd_end.get(worker * self.nk + sB + b)
-            if end is None:
-                return None
-            if end > t:
-                t = end
+                if a > t:
+                    t = a
+        return (t, r)
+
+    heap: List[Tuple[float, int]] = []
+    for r in range(nranks):
+        if lo[r] < hi[r]:
+            cand = ready(r)
+            if cand is not None:
+                heappush(heap, cand)
+
+    nxt: Optional[Tuple[float, int]] = None
+    halted = False
+    while True:
+        if nxt is not None:
+            # Fast lane: the previous commit's freshest candidate already
+            # precedes everything in the heap — skip push + pop.
+            t, r = nxt
+            nxt = None
         else:
-            arrival = self.arrivals_b.get(sB + b)
-            if arrival is None:
-                return None
-            if arrival > t:
-                t = arrival
-        if self.pipedream_gate and self.replicas[s] > 1:
-            rnd = b // self.round_div[s]
-            if rnd >= 2:
-                gate = self.update_done.get(sB + rnd - 2)
-                if gate is None:
-                    return None
-                if gate > t:
-                    t = gate
-        return t
-
-    def _ready_or_key(self, worker: int, op: Op) -> Tuple[Optional[float], Optional[int]]:
-        """Like :meth:`_ready` but reports *which* event a blocked op awaits.
-
-        Returns ``(start, None)`` when ready, else ``(None, key)`` where
-        ``key`` is the flattened id of the first unresolved dependency — the
-        event engine parks the worker on that key's wakeup list.  A blocked
-        op may have several unresolved dependencies; re-evaluation on wakeup
-        walks them one at a time, which is correct because dependencies only
-        ever resolve (they never un-resolve).
-        """
-        t = self.worker_free[worker]
-        kind = op.kind
-        if kind is OpKind.UPDATE or kind is OpKind.BACKWARD_W:
-            return t, None
-        s = op.stage
-        sB = s * self.B
-        b = op.minibatch
-        if kind is OpKind.FORWARD:
-            if s > 0:
-                arrival = self.arrivals_f.get(sB + b)
-                if arrival is None:
-                    return None, sB + b
-                if arrival > t:
-                    t = arrival
-            if self.gated_forward:
-                rnd = b // self.round_div[s]
-                if rnd > 0:
-                    gate = self.update_done.get(sB + rnd - 1)
-                    if gate is None:
-                        return None, self.UD_OFF + sB + rnd - 1
-                    if gate > t:
-                        t = gate
-            return t, None
-        # BACKWARD
-        if s == self.last_stage:
-            end = self.fwd_end.get(worker * self.nk + sB + b)
-            if end is None:
-                return None, self.FE_OFF + sB + b
-            if end > t:
-                t = end
-        else:
-            arrival = self.arrivals_b.get(sB + b)
-            if arrival is None:
-                return None, self.AB_OFF + sB + b
-            if arrival > t:
-                t = arrival
-        if self.pipedream_gate and self.replicas[s] > 1:
-            rnd = b // self.round_div[s]
-            if rnd >= 2:
-                gate = self.update_done.get(sB + rnd - 2)
-                if gate is None:
-                    return None, self.UD_OFF + sB + rnd - 2
-                if gate > t:
-                    t = gate
-        return t, None
-
-    # ------------------------------------------------------------------
-    # Commit semantics (identical for both engines)
-    # ------------------------------------------------------------------
-    def execute(self, worker: int, op: Op, start: float) -> float:
-        s = op.stage
-        b = op.minibatch
-        sB = s * self.B
-        kind = op.kind
-        if kind is OpKind.FORWARD:
-            dur = self.fwd_time[s] / self.speed[worker]
-            if self.faults is None:
-                end = start + dur
-            else:
-                end = self.faults.compute_end(worker, start, dur)
-                dur = end - start
-            self.fwd_end[worker * self.nk + sB + b] = end
-            if s == self.last_stage:
-                # Only the last stage's own backward waits on forward
-                # completion; other stages' forwards gate nothing directly.
-                self.fired.append(self.FE_OFF + sB + b)
-            self.compute_time[worker] += dur
-            if s < self.last_stage:
-                group = self.stage_workers_list[s + 1]
-                dst = group[b % len(group)]
-                self._send(worker, dst, self.boundary_bytes[s], end,
-                           self.arrivals_f, sB + self.B + b, 0)
-            self.worker_free[worker] = end
-        elif kind is OpKind.BACKWARD:
-            dur = self.bwd_time[s] / self.speed[worker]
-            if self.faults is None:
-                end = start + dur
-            else:
-                end = self.faults.compute_end(worker, start, dur)
-                dur = end - start
-            self.bwd_start[worker * self.nk + sB + b] = start
-            self.compute_time[worker] += dur
-            if s > 0:
-                group = self.stage_workers_list[s - 1]
-                dst = group[b % len(group)]
-                self._send(worker, dst, self.boundary_bytes[s - 1], end,
-                           self.arrivals_b, sB - self.B + b, self.AB_OFF)
-            else:
-                self.minibatch_done[b] = end
-            self.worker_free[worker] = end
-        elif kind is OpKind.BACKWARD_W:
-            # 2BP grad-weight half: pure local compute — no sends, no
-            # events fired.  It sits between the grad-input backward and
-            # the round's UPDATE, so the update still starts at the
-            # unsplit backward's end time while the upstream gradient
-            # left one grad-weight duration earlier.
-            dur = self.bwd_w_time[s] / self.speed[worker]
-            if self.faults is None:
-                end = start + dur
-            else:
-                end = self.faults.compute_end(worker, start, dur)
-                dur = end - start
-            self.compute_time[worker] += dur
-            self.worker_free[worker] = end
-        else:  # UPDATE
-            end = self._execute_update(worker, op, start)
-        self.records.append((worker, op, start, end))
-        return end
-
-    def _link_bandwidth(self, src: int, dst: int) -> float:
-        cached = self._bw_cache.get((src, dst))
-        if cached is None:
-            cached = self.placement.link_bandwidth(src, dst)
-            self._bw_cache[(src, dst)] = cached
-        return cached
-
-    def _link_level(self, src: int, dst: int) -> int:
-        cached = self._lvl_cache.get((src, dst))
-        if cached is None:
-            cached = self.placement.link_level(src, dst)
-            self._lvl_cache[(src, dst)] = cached
-        return cached
-
-    def _send(self, src: int, dst: int, num_bytes: float, ready: float,
-              arrivals: Dict[int, float], key: int, fire_offset: int) -> None:
-        if src == dst or num_bytes <= 0:
-            arrivals[key] = ready
-            self.fired.append(fire_offset + key)
-            return
-        duration = num_bytes / self._link_bandwidth(src, dst)
-        begin = max(ready, self.channel_free[(src, dst)])
-        if self.options.nic_contention:
-            begin = max(begin, self.nic_send_free[src], self.nic_recv_free[dst])
-        if self.faults is not None:
-            duration *= self.faults.bandwidth_factor(
-                src, dst, begin, self._link_level(src, dst))
-        if self.options.nic_contention:
-            self.nic_send_free[src] = begin + duration
-            self.nic_recv_free[dst] = begin + duration
-        self.channel_free[(src, dst)] = begin + duration
-        self.channel_busy[(src, dst)] += duration
-        arrivals[key] = begin + duration
-        self.fired.append(fire_offset + key)
-
-    def _execute_update(self, worker: int, op: Op, start: float) -> float:
-        s = op.stage
-        b = op.minibatch
-        rnd = b // self.round_div[s]
-        sBr = s * self.B + rnd
-        is_bsp = self.is_bsp
-        if self.is_gpipe or (not is_bsp and self.replicas[s] == 1):
-            members = 1
-        else:
-            members = self.round_expected.get(sBr, 1)
-        if members == 1 and not is_bsp:
-            # Single-member round (straight 1F1B, GPipe): the general path
-            # below specialized to one backward — sync starts when it ends.
-            duration = self.sync_duration[s]
-            sync_free = self.sync_free[s]
-            done = (start if start >= sync_free else sync_free) + duration
-            self.sync_free[s] = done
-            self.sync_busy[s] += duration
-            if duration > 0:
-                self.sync_exposed[s] += done - start
-            self.update_done[sBr] = done
-            self.fired.append(self.UD_OFF + sBr)
-            self.worker_free[worker] = start  # async commit; not blocked
-            return start if duration == 0 else done
-        bwd_start = self.bwd_start.get(worker * self.nk + s * self.B + b, start)
-        backwards = self.round_backwards.get(sBr)
-        if backwards is None:
-            backwards = self.round_backwards[sBr] = []
-        backwards.append((bwd_start, start))
-        if len(backwards) < members:
-            # Not the last replica of the round: update commits later, the
-            # worker moves on (the round's completion is handled below).
-            self.worker_free[worker] = start
-            return start
-        starts = [x[0] for x in backwards]
-        ends = [x[1] for x in backwards]
-        duration = self.sync_duration[s]
-        last_end = max(ends)
-        if self.bucket_durs is not None:
-            # Bucketed wait-free backprop: each bucket's collective fires
-            # once every member's backward has produced its last gradient
-            # (the bucket's ready fraction, interpolated on each member's
-            # own backward window) and the stage sync channel is free;
-            # buckets serialize on the channel in firing order.  The
-            # BPTT-deferred payload exists only after every backward ends,
-            # so it runs strictly last.  Applies to BSP and pipedream
-            # rounds alike — with no buckets (pure-deferred stage) both
-            # legacy formulas reduce to this same expression.
-            t = self.sync_free[s]
-            fracs = self.bucket_fracs[s]
-            for i, dur in enumerate(self.bucket_durs[s]):
-                frac = fracs[i]
-                ready = max(st + frac * (en - st) for st, en in backwards)
-                if ready > t:
-                    t = ready
-                t += dur
-            done = (t if t > last_end else last_end) + self.sync_deferred[s]
-        elif is_bsp:
-            # Wait-free backprop: streamable gradients overlap the backward
-            # pass; BPTT-deferred gradients only start when it ends.
-            sync_start = max(max(starts), self.sync_free[s])
-            done = max(last_end, sync_start + self.sync_stream[s]) + self.sync_deferred[s]
-        else:
-            sync_start = max(last_end, self.sync_free[s])
-            done = sync_start + duration
-        self.sync_free[s] = done
-        self.sync_busy[s] += duration
-        if duration > 0:
-            self.sync_exposed[s] += done - last_end
-        self.update_done[sBr] = done
-        self.fired.append(self.UD_OFF + sBr)
-        if is_bsp:
-            # Blocking: every replica of the stage resumes after commit.
-            for w in self.stage_workers_list[s]:
-                if self.worker_free[w] < done:
-                    self.worker_free[w] = done
-                    self.bumped.append(w)
-            return done
-        self.worker_free[worker] = start  # async commit; worker not blocked
-        return start if duration == 0 else done
-
-    # ------------------------------------------------------------------
-    # Engines
-    # ------------------------------------------------------------------
-    def _deadlock(self, pointers: Dict[int, int]) -> RuntimeError:
-        stuck = {
-            w: self.schedule.worker_ops[w][pointers[w]]
-            for w in self.schedule.worker_ops
-            if pointers[w] < len(self.schedule.worker_ops[w])
-        }
-        return RuntimeError(f"simulation deadlocked; blocked ops: {stuck}")
-
-    def run_reference(self) -> None:
-        """Original O(total_ops × workers) loop: commit the globally
-        earliest ready op, rescanning every worker's head op each time."""
-        pointers = {w: 0 for w in self.workers}
-        total_ops = sum(len(ops) for ops in self.ops_by_rank)
-        committed = 0
-        fired = self.fired
-        halt = self.halt_time
-        while committed < total_ops:
-            best_worker = None
-            best_time = math.inf
-            for rank, worker in enumerate(self.workers):
-                ops = self.ops_by_rank[rank]
-                idx = pointers[worker]
-                if idx >= len(ops):
-                    continue
-                t = self._ready(worker, ops[idx])
-                if t is not None and t < best_time:
-                    best_time = t
-                    best_worker = worker
-            if best_worker is None:
-                raise self._deadlock(pointers)
-            if halt is not None and best_time >= halt:
-                # A worker crashed: the globally earliest startable op is
-                # already past the crash instant, so nothing else starts.
-                self.halted = True
-                return
-            op = self.schedule.worker_ops[best_worker][pointers[best_worker]]
-            fired.clear()
-            self.bumped.clear()
-            self.execute(best_worker, op, best_time)
-            pointers[best_worker] += 1
-            committed += 1
-
-    def run_event_general(self) -> None:
-        """Event-driven loop used when fault injection is active.
-
-        Same heap + wakeup-list + dirty-marking structure as
-        :meth:`run_event`, but commits through the shared
-        :meth:`execute` so the fault arithmetic (piecewise straggler
-        integration, bandwidth windows) lives in exactly one place for
-        both engines — engine equivalence under faults falls out for
-        free.  The fault-free hot loop stays fully inlined and untouched.
-
-        Commit times are non-decreasing (a commit can only unblock ops at
-        or after its own start), so halting at the first popped ready
-        time >= the crash instant stops both engines at the identical
-        timeline prefix.
-        """
-        workers = self.workers
-        ops_by_rank = self.ops_by_rank
-        nworkers = len(workers)
-        pointers = [0] * nworkers
-        lengths = [len(ops) for ops in ops_by_rank]
-        total_ops = sum(lengths)
-        heap: List[Tuple[float, int]] = []
-        waiters: Dict[int, List[int]] = {}
-        rank_of = {w: r for r, w in enumerate(workers)}
-        dirty = [False] * nworkers
-        halt = self.halt_time
-        fired = self.fired
-        bumped = self.bumped
-
-        def enqueue(rank: int) -> Optional[Tuple[float, int]]:
-            worker = workers[rank]
-            op = ops_by_rank[rank][pointers[rank]]
-            t, key = self._ready_or_key(worker, op)
-            if t is None:
-                waiters.setdefault(key, []).append(rank)
-                return None
-            return (t, rank)
-
-        for rank in range(nworkers):
-            if lengths[rank]:
-                cand = enqueue(rank)
-                if cand is not None:
-                    heappush(heap, cand)
-
-        committed = 0
-        while committed < total_ops:
             if not heap:
-                raise self._deadlock(
-                    {w: pointers[r] for r, w in enumerate(workers)})
-            t, rank = heappop(heap)
-            if dirty[rank]:
-                # A BSP round commit bumped this worker after its entry
-                # was queued; clamp against the fresh worker_free.
-                dirty[rank] = False
-                current = self.worker_free[workers[rank]]
+                break
+            t, r = heappop(heap)
+            if dirty[r]:
+                dirty[r] = False
+                current = wf[r]
                 if current > t:
-                    heappush(heap, (current, rank))
+                    heappush(heap, (current, r))
                     continue
-            if halt is not None and t >= halt:
-                self.halted = True
-                return
-            worker = workers[rank]
-            op = ops_by_rank[rank][pointers[rank]]
-            fired.clear()
-            bumped.clear()
-            self.execute(worker, op, t)
-            pointers[rank] += 1
-            committed += 1
-            if pointers[rank] < lengths[rank]:
-                cand = enqueue(rank)
-                if cand is not None:
-                    heappush(heap, cand)
-            for key in fired:
-                woken = waiters.pop(key, None)
-                if woken is not None:
-                    for other in woken:
-                        cand = enqueue(other)
-                        if cand is not None:
-                            heappush(heap, cand)
-            for w in bumped:
-                r2 = rank_of[w]
-                if r2 != rank:
-                    dirty[r2] = True
-
-    def run_event(self) -> None:
-        """Event-driven loop: a min-heap of ready head ops plus wakeup
-        lists keyed on resolution events.
-
-        Invariant: every worker with remaining ops is either in the heap
-        (head op ready when enqueued) or parked on exactly one wakeup list
-        (head op blocked on that event).  Heap entries can only go stale
-        when a BSP round commit pushes ``worker_free`` forward for a whole
-        stage group; those commits report exactly which workers they
-        bumped (``_SimCore.bumped``), and the engine *dirty-marks* their
-        ranks instead of re-validating every pop.  A queued entry's
-        dependency component never changes after enqueue (dependencies
-        resolve monotonically and their times are final), so the fresh
-        ready time of a dirty entry is simply ``max(t, worker_free)`` — a
-        clamp, not a full readiness recomputation — and clean entries are
-        popped with no check at all, in every sync mode.  A ready op never
-        becomes blocked and a ready time never decreases, so the heap
-        minimum matches the reference engine's full-rescan minimum, and
-        (time, rank) ordering reproduces its first-wins tie-break exactly.
-
-        The commit path is a locals-bound inline of :meth:`execute` /
-        :meth:`_ready_or_key` — identical expressions, so the arithmetic
-        (and hence the timeline) is bitwise-identical to the reference
-        engine, which the test suite asserts.
-        """
-        if self.faults is not None:
-            # Fault injection routes through the general loop (shared
-            # commit path); the fault-free fast path below stays intact.
-            return self.run_event_general()
-        workers = self.workers
-        ops_by_rank = self.ops_by_rank
-        nworkers = len(workers)
-        pointers = [0] * nworkers
-        lengths = [len(ops) for ops in ops_by_rank]
-        total_ops = sum(lengths)
-        heap: List[Tuple[float, int]] = []
-        waiters: Dict[int, List[int]] = {}
-
-        B = self.B
-        last_stage = self.last_stage
-        worker_free = self.worker_free
-        arrivals_f = self.arrivals_f
-        arrivals_b = self.arrivals_b
-        fwd_end = self.fwd_end
-        bwd_start = self.bwd_start
-        update_done = self.update_done
-        round_div = self.round_div
-        replicas = self.replicas
-        gated_forward = self.gated_forward
-        pipedream_gate = self.pipedream_gate
-        fwd_time = self.fwd_time
-        bwd_time = self.bwd_time
-        boundary_bytes = self.boundary_bytes
-        stage_workers_list = self.stage_workers_list
-        speed = self.speed
-        compute_time = self.compute_time
-        minibatch_done = self.minibatch_done
-        fired = self.fired
-        nk = self.nk
-        AB_OFF = self.AB_OFF
-        FE_OFF = self.FE_OFF
-        UD_OFF = self.UD_OFF
-        FORWARD = OpKind.FORWARD
-        UPDATE = OpKind.UPDATE
-        BACKWARD_W = OpKind.BACKWARD_W
-        bwd_w_time = self.bwd_w_time
-        execute_update = self._execute_update
-        append_record = self.records.append
-        bumped = self.bumped
-        # Per-rank staleness flags driven by BSP round commits; see the
-        # docstring.  rank_of maps a bumped worker id back to its rank.
-        dirty = [False] * nworkers
-        rank_of = {w: r for r, w in enumerate(workers)}
-        nic_contention = self.options.nic_contention
-        sync_duration = self.sync_duration
-        sync_free = self.sync_free
-        sync_busy = self.sync_busy
-        sync_exposed = self.sync_exposed
-        # Stages whose UPDATE commit takes the single-member non-BSP fast
-        # path unconditionally (straight 1F1B pipelines, GPipe).
-        update_simple = [
-            not self.is_bsp and (self.is_gpipe or r == 1) for r in self.replicas
-        ]
-        channel_free = self.channel_free
-        channel_busy = self.channel_busy
-        nic_send_free = self.nic_send_free
-        nic_recv_free = self.nic_recv_free
-        bw_cache = self._bw_cache
-        link_bandwidth = self.placement.link_bandwidth
-
-        pd_gated = [pipedream_gate and r > 1 for r in self.replicas]
-        group_len = [len(g) for g in stage_workers_list]
-
-        def enqueue(
-            rank: int,
-            af_get=arrivals_f.get,
-            ab_get=arrivals_b.get,
-            fe_get=fwd_end.get,
-            ud_get=update_done.get,
-            w_get=waiters.get,
-        ) -> Optional[Tuple[float, int]]:
-            """Readiness check for ``rank``'s head op (inline of
-            :meth:`_ready_or_key`): return a heap candidate ``(t, rank)``
-            when ready, else park the rank on its blocking event."""
-            op = ops_by_rank[rank][pointers[rank]]
-            t = worker_free[workers[rank]]
-            kind = op.kind
-            if kind is not UPDATE and kind is not BACKWARD_W:
-                s = op.stage
-                sB = s * B
-                b = op.minibatch
-                if kind is FORWARD:
-                    if s > 0:
-                        arrival = af_get(sB + b)
-                        if arrival is None:
-                            key = sB + b
-                            bucket = w_get(key)
-                            if bucket is None:
-                                waiters[key] = [rank]
-                            else:
-                                bucket.append(rank)
-                            return None
-                        if arrival > t:
-                            t = arrival
-                    if gated_forward:
-                        rnd = b // round_div[s]
-                        if rnd > 0:
-                            gate = ud_get(sB + rnd - 1)
-                            if gate is None:
-                                key = UD_OFF + sB + rnd - 1
-                                bucket = w_get(key)
-                                if bucket is None:
-                                    waiters[key] = [rank]
-                                else:
-                                    bucket.append(rank)
-                                return None
-                            if gate > t:
-                                t = gate
-                else:  # BACKWARD
-                    if s == last_stage:
-                        end = fe_get(workers[rank] * nk + sB + b)
-                        if end is None:
-                            key = FE_OFF + sB + b
-                            bucket = w_get(key)
-                            if bucket is None:
-                                waiters[key] = [rank]
-                            else:
-                                bucket.append(rank)
-                            return None
-                        if end > t:
-                            t = end
-                    else:
-                        arrival = ab_get(sB + b)
-                        if arrival is None:
-                            key = AB_OFF + sB + b
-                            bucket = w_get(key)
-                            if bucket is None:
-                                waiters[key] = [rank]
-                            else:
-                                bucket.append(rank)
-                            return None
-                        if arrival > t:
-                            t = arrival
-                    if pd_gated[s]:
-                        rnd = b // round_div[s]
-                        if rnd >= 2:
-                            gate = ud_get(sB + rnd - 2)
-                            if gate is None:
-                                key = UD_OFF + sB + rnd - 2
-                                bucket = w_get(key)
-                                if bucket is None:
-                                    waiters[key] = [rank]
-                                else:
-                                    bucket.append(rank)
-                                return None
-                            if gate > t:
-                                t = gate
-            return (t, rank)
-
-        for rank in range(nworkers):
-            if lengths[rank]:
-                cand = enqueue(rank)
-                if cand is not None:
-                    heappush(heap, cand)
-
-        committed = 0
-        nxt: Optional[Tuple[float, int]] = None
-        while committed < total_ops:
-            if nxt is not None:
-                # Fast lane: the previous commit's own next op was already
-                # known to precede everything in the heap — skip push+pop.
-                t, rank = nxt
-                nxt = None
+        if halt is not None and t >= halt:
+            halted = True
+            break
+        i = ptr[r]
+        c = codes[i]
+        k = c & 3
+        fired = -1
+        if k == 3:
+            # UPDATE: join the round; the last member commits it.
+            s = rstage[r]
+            b = c >> 2
+            rd = rdiv[r]
+            slot = ubase[r] + (b if rd == 1 else b // rd)
+            if usimple[r] or (not is_bsp and members[slot] == 1):
+                # Single-member round: sync starts when this backward
+                # (the worker's free time) ends.
+                duration = sdur[s]
+                free = sync_free[s]
+                done = (t if t >= free else free) + duration
+                sync_free[s] = done
+                sync_busy[s] = sync_busy.get(s, 0.0) + duration
+                if duration > 0:
+                    sync_exposed[s] = sync_exposed.get(s, 0.0) + (done - t)
+                ev[slot] = done
+                fired = slot
+                wf[r] = t  # async commit; the worker is not blocked
+                end = t if duration == 0 else done
             else:
-                if not heap:
-                    raise self._deadlock(
-                        {w: pointers[r] for r, w in enumerate(workers)})
-                t, rank = heappop(heap)
-                if dirty[rank]:
-                    # A BSP round commit bumped this worker after its entry
-                    # was queued.  Dependency times are final once resolved,
-                    # so the fresh ready time is the clamp against the
-                    # current worker_free — no readiness recomputation.
-                    dirty[rank] = False
-                    current = worker_free[workers[rank]]
-                    if current > t:
-                        heappush(heap, (current, rank))
-                        continue
-            worker = workers[rank]
-            op = ops_by_rank[rank][pointers[rank]]
-            kind = op.kind
-            s = op.stage
-            b = op.minibatch
-            sB = s * B
-            wake_key = -1
-            if kind is UPDATE:
-                if update_simple[s]:
-                    # Inline of _execute_update's single-member fast path
-                    # (identical arithmetic).
-                    rd = round_div[s]
-                    rnd = b if rd == 1 else b // rd
-                    sBr = sB + rnd
-                    duration = sync_duration[s]
-                    sf = sync_free[s]
-                    done = (t if t >= sf else sf) + duration
+                # The member's backward window: its latest backward of
+                # this minibatch (it precedes the update on the worker).
+                bcode = c - 2
+                j = i - 1
+                first = lo[r]
+                while j >= first and codes[j] != bcode:
+                    j -= 1
+                backs = round_backs.get(slot)
+                if backs is None:
+                    backs = round_backs[slot] = []
+                backs.append((start_of[j] if j >= first else t, t))
+                if len(backs) < members[slot]:
+                    # Not the last member: the round commits later.
+                    wf[r] = t
+                    end = t
+                else:
+                    starts = [x[0] for x in backs]
+                    ends = [x[1] for x in backs]
+                    duration = sdur[s]
+                    last_end = max(ends)
+                    if bdurs is not None:
+                        # Bucketed wait-free backprop: each bucket's
+                        # collective fires once every member's backward
+                        # produced its last gradient (the bucket's ready
+                        # fraction of each member's window) and the sync
+                        # channel is free; buckets serialize in firing
+                        # order, the BPTT-deferred payload runs last.
+                        tb = sync_free[s]
+                        fracs = bfracs[s]
+                        for idx, dur in enumerate(bdurs[s]):
+                            frac = fracs[idx]
+                            at = max(st + frac * (en - st) for st, en in backs)
+                            if at > tb:
+                                tb = at
+                            tb += dur
+                        done = (tb if tb > last_end else last_end) + sdef[s]
+                    elif is_bsp:
+                        # Wait-free backprop: streamable gradients overlap
+                        # the backward pass; BPTT-deferred ones start when
+                        # it ends.
+                        sync_start = max(max(starts), sync_free[s])
+                        done = max(last_end, sync_start + sstream[s]) + sdef[s]
+                    else:
+                        sync_start = max(last_end, sync_free[s])
+                        done = sync_start + duration
                     sync_free[s] = done
-                    sync_busy[s] += duration
+                    sync_busy[s] = sync_busy.get(s, 0.0) + duration
                     if duration > 0:
-                        sync_exposed[s] += done - t
-                    update_done[sBr] = done
-                    wake_key = UD_OFF + sBr
-                    worker_free[worker] = t
-                    end = t if duration == 0 else done
-                else:
-                    del fired[:]
-                    del bumped[:]
-                    end = execute_update(worker, op, t)
-                    if fired:
-                        wake_key = fired[0]
-                    for w in bumped:
-                        # Dirty-mark ranks whose queued ready times a BSP
-                        # round commit just made stale.  The committing
-                        # rank's own next candidate is computed fresh below.
-                        r2 = rank_of[w]
-                        if r2 != rank:
-                            dirty[r2] = True
-            elif kind is FORWARD:
-                dur = fwd_time[s] / speed[worker]
-                end = t + dur
-                fwd_end[worker * nk + sB + b] = end
-                compute_time[worker] += dur
-                worker_free[worker] = end
-                if s < last_stage:
-                    # Inline of _send (identical arithmetic): ship the
-                    # activation to the downstream replica.
-                    akey = sB + B + b
-                    dst = stage_workers_list[s + 1][b % group_len[s + 1]]
-                    nbytes = boundary_bytes[s]
-                    if worker == dst or nbytes <= 0:
-                        arrivals_f[akey] = end
+                        sync_exposed[s] = (sync_exposed.get(s, 0.0)
+                                           + (done - last_end))
+                    ev[slot] = done
+                    fired = slot
+                    if is_bsp:
+                        # Blocking: every replica resumes after the commit.
+                        for r2 in groups[s]:
+                            if wf[r2] < done:
+                                wf[r2] = done
+                                if r2 != r:
+                                    dirty[r2] = True
+                        end = done
                     else:
-                        ch = (worker, dst)
-                        bw = bw_cache.get(ch)
-                        if bw is None:
-                            bw = bw_cache[ch] = link_bandwidth(worker, dst)
-                        duration = nbytes / bw
-                        cf = channel_free[ch]
-                        begin = end if end >= cf else cf
-                        if nic_contention:
-                            begin = max(begin, nic_send_free[worker],
-                                        nic_recv_free[dst])
-                            nic_send_free[worker] = begin + duration
-                            nic_recv_free[dst] = begin + duration
-                        channel_free[ch] = begin + duration
-                        channel_busy[ch] += duration
-                        arrivals_f[akey] = begin + duration
-                    wake_key = akey
-                else:
-                    # Only the last stage's own backward waits on forward
-                    # completion.
-                    wake_key = FE_OFF + sB + b
-            elif kind is BACKWARD_W:
-                # Inline of execute()'s grad-weight branch: local compute
-                # only, nothing fired.
-                dur = bwd_w_time[s] / speed[worker]
-                end = t + dur
-                compute_time[worker] += dur
-                worker_free[worker] = end
-            else:  # BACKWARD
-                dur = bwd_time[s] / speed[worker]
-                end = t + dur
-                bwd_start[worker * nk + sB + b] = t
-                compute_time[worker] += dur
-                worker_free[worker] = end
-                if s > 0:
-                    # Inline of _send: ship the gradient upstream.
-                    akey = sB - B + b
-                    dst = stage_workers_list[s - 1][b % group_len[s - 1]]
-                    nbytes = boundary_bytes[s - 1]
-                    if worker == dst or nbytes <= 0:
-                        arrivals_b[akey] = end
-                    else:
-                        ch = (worker, dst)
-                        bw = bw_cache.get(ch)
-                        if bw is None:
-                            bw = bw_cache[ch] = link_bandwidth(worker, dst)
-                        duration = nbytes / bw
-                        cf = channel_free[ch]
-                        begin = end if end >= cf else cf
-                        if nic_contention:
-                            begin = max(begin, nic_send_free[worker],
-                                        nic_recv_free[dst])
-                            nic_send_free[worker] = begin + duration
-                            nic_recv_free[dst] = begin + duration
-                        channel_free[ch] = begin + duration
-                        channel_busy[ch] += duration
-                        arrivals_b[akey] = begin + duration
-                    wake_key = AB_OFF + akey
-                else:
-                    minibatch_done[b] = end
-            append_record((worker, op, t, end))
-            idx = pointers[rank] + 1
-            pointers[rank] = idx
-            committed += 1
-            if idx < lengths[rank]:
-                nop = ops_by_rank[rank][idx]
-                if nop.kind is UPDATE or nop.kind is BACKWARD_W:
-                    # UPDATE and grad-weight heads are unconditionally
-                    # ready at worker_free.
-                    own = (worker_free[worker], rank)
-                else:
-                    own = enqueue(rank)
+                        wf[r] = t
+                        end = t if duration == 0 else done
+        else:
+            if k == 0:
+                dur = fdur[r]
+            elif k == 1:
+                dur = bdur[r]
             else:
-                own = None
-            if wake_key >= 0:
-                woken = waiters.pop(wake_key, None)
-                if woken is not None:
-                    # Keep `own` as the minimum of this commit's fresh
-                    # candidates; losers go straight to the heap.
-                    for other in woken:
-                        cand = enqueue(other)
-                        if cand is not None:
-                            if own is None or cand < own:
-                                if own is not None:
-                                    heappush(heap, own)
-                                own = cand
-                            else:
-                                heappush(heap, cand)
-            if own is not None:
-                # `own` was computed after this commit, so it is fresh even
-                # in BSP mode; taking it directly when it precedes the heap
-                # minimum reproduces heappush+heappop ordering exactly
-                # (ranks are unique, so ties are impossible).
-                if not heap or own < heap[0]:
-                    nxt = own
+                dur = wdur[r]
+            if compute_end is None:
+                end = t + dur
+            else:
+                end = compute_end(workers[r], t, dur)
+                dur = end - t
+            busy = compute[r]
+            if busy is None:
+                compute[r] = dur
+                compute_order.append(r)
+            else:
+                compute[r] = busy + dur
+            wf[r] = end
+            if k == 0:
+                base, table = fout[r], fsend[r]  # activation downstream
+            elif k == 1:
+                base, table = bout[r], bsend[r]  # gradient upstream
+                if base < 0:
+                    b = c >> 2
+                    done = minibatch_done.get(b)
+                    if done is None or end > done:
+                        minibatch_done[b] = end
+            else:
+                base = -1  # 2BP grad-weight: local compute only
+            if base >= 0:
+                b = c >> 2
+                fired = base + b
+                hop = table[b % len(table)]
+                if hop is None:
+                    ev[fired] = end
                 else:
-                    heappush(heap, own)
+                    ch, xfer = hop
+                    free = ch_free[ch]
+                    begin = end if end >= free else free
+                    if nic:
+                        src, dst = workers[r], ch_dst[ch]
+                        begin = max(begin, nic_send[src], nic_recv[dst])
+                    if bw_factor is not None:
+                        xfer *= bw_factor(workers[r], ch_dst[ch], begin,
+                                          ch_level[ch])
+                    arrival = begin + xfer
+                    if nic:
+                        nic_send[src] = arrival
+                        nic_recv[dst] = arrival
+                    ch_free[ch] = arrival
+                    busy = ch_busy[ch]
+                    if busy is None:
+                        ch_busy[ch] = xfer
+                        ch_order.append(ch)
+                    else:
+                        ch_busy[ch] = busy + xfer
+                    ev[fired] = arrival
+        start_of[i] = t
+        end_of[i] = end
+        log(i)
+        i += 1
+        ptr[r] = i
+        if i < hi[r]:
+            own = (wf[r], r) if codes[i] & 3 >= 2 else ready(r)
+        else:
+            own = None
+        if fired >= 0:
+            woken = waiters[fired]
+            if woken is not None:
+                waiters[fired] = None
+                # Keep `own` the minimum of this commit's fresh
+                # candidates; the rest go to the heap.
+                for other in woken:
+                    cand = ready(other)
+                    if cand is not None:
+                        if own is None or cand < own:
+                            if own is not None:
+                                heappush(heap, own)
+                            own = cand
+                        else:
+                            heappush(heap, cand)
+        if own is not None:
+            if not heap or own < heap[0]:
+                nxt = own
+            else:
+                heappush(heap, own)
 
-    def result(self) -> SimResult:
-        total_time = max((r[3] for r in self.records), default=0.0)
-        return SimResult(
-            raw_records=self.records,
-            total_time=total_time,
-            num_minibatches=self.schedule.num_minibatches,
-            num_workers=self.schedule.num_workers,
-            compute_time_per_worker=dict(self.compute_time),
-            channel_busy=dict(self.channel_busy),
-            sync_busy=dict(self.sync_busy),
-            minibatch_done=self.minibatch_done,
-            halted_at=self.halt_time if self.halted else None,
-            sync_exposed=dict(self.sync_exposed),
-        )
+    if not halted and len(commits) < n:
+        raise _deadlock(prog, ptr)
+    return SimResult(
+        raw_records=CommitLog(schedule, commits, start_of, end_of),
+        total_time=max(end_of, default=0.0),
+        num_minibatches=schedule.num_minibatches,
+        num_workers=schedule.num_workers,
+        compute_time_per_worker={workers[r]: compute[r]
+                                 for r in compute_order},
+        channel_busy={prog.ch_pair[ch]: ch_busy[ch] for ch in ch_order},
+        sync_busy=sync_busy,
+        minibatch_done=minibatch_done,
+        halted_at=halt if halted else None,
+        sync_exposed=sync_exposed,
+    )
 
 
 def simulate(
@@ -1308,21 +953,13 @@ def simulate(
     profile: ModelProfile,
     topology: Topology,
     options: Optional[SimOptions] = None,
-    engine: str = "event",
 ) -> SimResult:
     """Execute ``schedule`` with the cluster's cost model; see module doc.
 
-    ``engine`` selects the main loop: ``"event"`` (default, event-driven)
-    or ``"reference"`` (the original full-rescan oracle).  Both produce
-    identical timelines; the reference engine exists for equivalence
-    testing and perf baselines.
+    An empty :class:`FaultSchedule` is the same as none: the run is the
+    fault-free one, bitwise.
     """
     options = options or SimOptions()
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    core = _SimCore(schedule, profile, topology, options)
-    if engine == "event":
-        core.run_event()
-    else:
-        core.run_reference()
-    return core.result()
+    pricing = price_stages(schedule, profile, topology, options)
+    program = _compile(schedule, pricing, options)
+    return _run(program, options.faults or None)

@@ -4,7 +4,7 @@ A :class:`FaultSchedule` is an immutable, sorted set of
 :class:`FaultEvent`\\ s pinned to *simulated* timestamps.  Three kinds:
 
 ``crash``
-    Worker dies at ``time``.  The engines halt the global timeline at
+    Worker dies at ``time``.  The simulator halts the global timeline at
     that instant — ops already started finish, nothing starts at or
     after it — and report it as ``SimResult.halted_at``.  Recovery
     (detection, re-planning, checkpoint resume) is the elastic control
@@ -23,8 +23,8 @@ A :class:`FaultSchedule` is an immutable, sorted set of
 
 Determinism contract: a schedule is a value (frozen events under a total
 order), :meth:`FaultSchedule.generate` is a pure function of its seed,
-and an *empty* schedule is structurally invisible — the engines
-normalize it to ``None`` and take the exact fault-free code paths, so
+and an *empty* schedule is structurally invisible — the simulator
+treats it as ``None`` and takes the exact fault-free code paths, so
 the timeline is bitwise-identical to a run without the feature
 (asserted across every engine-equivalence scenario by
 ``tests/test_faults.py``).
@@ -105,7 +105,7 @@ class FaultSchedule:
         )
         self.seed = seed
         crashes = [e.time for e in self.events if e.kind == "crash"]
-        #: Earliest crash time, or None.  The engines stop committing ops
+        #: Earliest crash time, or None.  The simulator stops committing ops
         #: whose start is at or past this instant.
         self.halt_time: Optional[float] = min(crashes) if crashes else None
         self._windows: Dict[int, Tuple[Tuple[float, float, float], ...]] = {}
@@ -137,7 +137,7 @@ class FaultSchedule:
             for e in self.events
         )
 
-    # -- queries the engines make ---------------------------------------
+    # -- queries the simulator makes ------------------------------------
     @property
     def crashes(self) -> Tuple[FaultEvent, ...]:
         return tuple(e for e in self.events if e.kind == "crash")

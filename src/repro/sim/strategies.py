@@ -114,7 +114,6 @@ def simulate_data_parallel(
     profile: ModelProfile,
     topology: Topology,
     num_minibatches: int = 16,
-    engine: str = "event",
     precision: Optional[str] = None,
     faults: Optional[FaultSchedule] = None,
     bucket_bytes: Optional[float] = None,
@@ -130,8 +129,7 @@ def simulate_data_parallel(
     schedule = data_parallel_schedule(workers, num_minibatches, num_layers=len(profile))
     sim = simulate(schedule, profile, topology,
                    SimOptions(sync_mode="bsp", faults=faults,
-                              bucket_bytes=bucket_bytes),
-                   engine=engine)
+                              bucket_bytes=bucket_bytes))
     # One simulated iteration = one minibatch per worker, so the run covers
     # ``num_minibatches * workers`` actual minibatches.
     samples = num_minibatches * profile.batch_size * workers
@@ -158,7 +156,6 @@ def simulate_model_parallel(
     topology: Topology,
     stages: Optional[Sequence[Stage]] = None,
     num_minibatches: int = 16,
-    engine: str = "event",
     precision: Optional[str] = None,
     faults: Optional[FaultSchedule] = None,
     bucket_bytes: Optional[float] = None,
@@ -172,8 +169,7 @@ def simulate_model_parallel(
     )
     sim = simulate(schedule, profile, topology,
                    SimOptions(sync_mode="pipedream", faults=faults,
-                              bucket_bytes=bucket_bytes),
-                   engine=engine)
+                              bucket_bytes=bucket_bytes))
     samples = num_minibatches * profile.batch_size
     total_bytes = communication_bytes_per_minibatch(profile, list(stages)) * num_minibatches
     return StrategyResult(
@@ -198,7 +194,6 @@ def simulate_gpipe(
     num_batches: int = 8,
     num_microbatches: int = 4,
     recompute: bool = True,
-    engine: str = "event",
     precision: Optional[str] = None,
     faults: Optional[FaultSchedule] = None,
     bucket_bytes: Optional[float] = None,
@@ -227,7 +222,7 @@ def simulate_gpipe(
         faults=faults,
         bucket_bytes=bucket_bytes,
     )
-    sim = simulate(schedule, micro_profile, topology, options, engine=engine)
+    sim = simulate(schedule, micro_profile, topology, options)
     samples = num_batches * profile.batch_size
     total_bytes = (
         communication_bytes_per_minibatch(micro_profile, list(stages))
@@ -259,7 +254,6 @@ def simulate_partition(
     num_minibatches: int = 16,
     noam: Optional[int] = None,
     strategy_name: str = "pipedream",
-    engine: str = "event",
     faults: Optional[FaultSchedule] = None,
     bucket_bytes: Optional[float] = None,
     schedule_family: str = "1f1b",
@@ -275,8 +269,7 @@ def simulate_partition(
     schedule = schedule_for_family(schedule, schedule_family)
     sim = simulate(schedule, profile, topology,
                    SimOptions(sync_mode="pipedream", faults=faults,
-                              bucket_bytes=bucket_bytes),
-                   engine=engine)
+                              bucket_bytes=bucket_bytes))
     samples = num_minibatches * profile.batch_size
     total_bytes = communication_bytes_per_minibatch(profile, stages) * num_minibatches
 
@@ -314,7 +307,6 @@ def simulate_pipedream(
     num_minibatches: int = 16,
     allow_replication: bool = True,
     optimizer: Optional[PipeDreamOptimizer] = None,
-    engine: str = "event",
     precision: Optional[str] = None,
     faults: Optional[FaultSchedule] = None,
     bucket_bytes: Optional[float] = None,
@@ -369,7 +361,7 @@ def simulate_pipedream(
         plan = optimizer.solve(topology.total_workers)
     if plan.is_data_parallel:
         result = simulate_data_parallel(profile, topology, num_minibatches,
-                                        engine=engine, faults=faults,
+                                        faults=faults,
                                         bucket_bytes=bucket_bytes)
         return StrategyResult(
             strategy="pipedream",
@@ -385,7 +377,7 @@ def simulate_pipedream(
             stages=result.stages,
         )
     return simulate_partition(profile, topology, plan.stages, num_minibatches,
-                              plan.noam, engine=engine, faults=faults,
+                              plan.noam, faults=faults,
                               bucket_bytes=bucket_bytes,
                               schedule_family=schedule_family)
 

@@ -233,7 +233,6 @@ def _run_cell(
     worker_counts: Sequence[int],
     device: str,
     minibatches: int,
-    engine: str,
     vectorize: bool,
     profile_cache: bool,
     memory_limit_bytes: Optional[float] = None,
@@ -282,7 +281,7 @@ def _run_cell(
         except ValueError:
             out.append(None)
             continue
-        kwargs = {"engine": engine, "bucket_bytes": bucket_bytes}
+        kwargs = {"bucket_bytes": bucket_bytes}
         if optimizer is not None:
             kwargs["optimizer"] = optimizer
             kwargs["schedule_family"] = schedule_family
@@ -358,7 +357,6 @@ def run_sweep(
     strategies: Sequence[str] = ("dp", "pipedream"),
     device: str = "v100",
     minibatches: int = 48,
-    engine: str = "event",
     workers: int = 1,
     executor: str = "process",
     vectorize: bool = True,
@@ -500,7 +498,7 @@ def run_sweep(
     if workers <= 1 or len(cells) <= 1 or resolved == "serial":
         cell_args = [
             (model, strategy, precision, bucket, policy, family, topology,
-             worker_counts, device, minibatches, engine, vectorize,
+             worker_counts, device, minibatches, vectorize,
              profile_cache, memory_limit_bytes, tp_degrees, contexts)
             for model, strategy, precision, bucket, policy, family in cells
         ]
@@ -523,7 +521,7 @@ def run_sweep(
         subtasks = [
             (cell_index, count_index,
              (model, strategy, precision, bucket, policy, family, topology,
-              [count], device, minibatches, engine, vectorize, profile_cache,
+              [count], device, minibatches, vectorize, profile_cache,
               memory_limit_bytes, tp_degrees, subtask_contexts))
             for cell_index, (model, strategy, precision, bucket, policy,
                              family) in enumerate(cells)

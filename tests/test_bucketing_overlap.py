@@ -10,9 +10,9 @@ Four groups:
    per-level setup latency α, the closed-form ``ring_allreduce_bytes``,
    and per-layer element recovery in ``allreduce_bytes_for_profile``.
 3. Fusion-off transparency: ``bucket_bytes=None`` is bitwise the
-   pre-bucketing evaluator and simulator; with fusion on, the event and
-   reference engines stay bitwise twins, and the analytic evaluator's
-   exposed-sync split matches the event engine's measured one exactly on
+   pre-bucketing evaluator and simulator; with fusion on, the simulator
+   stays bitwise equal to the rescan oracle, and the analytic evaluator's
+   exposed-sync split matches the simulator's measured one exactly on
    uniform BSP rounds.
 4. A planner pin: on an α>0 topology, bucketing shifts the gnmt8 plan
    (replication pays α per bucket, so the solver backs off a replica set).
@@ -47,6 +47,7 @@ from repro.profiler import analytic_profile
 from repro.sim.executor import SimOptions, simulate
 from repro.sim.faults import parse_faults
 from repro.sim.network import Placement, allreduce_time
+from tests.sim_oracle import oracle_simulate
 
 import numpy as np
 
@@ -229,8 +230,8 @@ TOPO_A4 = cluster_a(1)  # 4 workers, one server
 
 
 def _assert_engines_identical(sched, profile, topo, options):
-    ref = simulate(sched, profile, topo, options, engine="reference")
-    evt = simulate(sched, profile, topo, options, engine="event")
+    ref = oracle_simulate(sched, profile, topo, options)
+    evt = simulate(sched, profile, topo, options)
     assert evt.records == ref.records
     assert evt.total_time == ref.total_time
     assert evt.sync_busy == ref.sync_busy
@@ -324,7 +325,8 @@ class TestSendUnderContentionAndFaults:
         sched = one_f_one_b_rr_schedule(stages, 10)
         options = SimOptions(sync_mode="pipedream", nic_contention=True,
                              faults=faults)
-        return simulate(sched, VGG, TOPO_A4, options, engine=engine)
+        run = oracle_simulate if engine == "reference" else simulate
+        return run(sched, VGG, TOPO_A4, options)
 
     def test_engines_agree_and_fault_slows_transfers(self):
         faults = parse_faults("bw@0.0:x4:d1000", num_workers=4)

@@ -21,16 +21,25 @@ import pytest
 
 from repro.core.partition import Stage
 from repro.profiler import analytic_profile
-from repro.core.schedule import one_f_one_b_rr_schedule
+from repro.core.schedule import (
+    OpKind,
+    data_parallel_schedule,
+    one_f_one_b_rr_schedule,
+)
 from repro.core.topology import cluster_a
 from repro.sim.executor import SimOptions, simulate
 from repro.sim.faults import FaultEvent, FaultSchedule, parse_faults
+from tests.sim_oracle import oracle_simulate
 from tests.test_sim_engine_equiv import SCENARIOS, assert_engines_identical
 
 VGG = analytic_profile("vgg16")
 TOPO_A = cluster_a(4)
 SCHED_15_1 = one_f_one_b_rr_schedule(
     [Stage(0, 14, 15), Stage(14, len(VGG), 1)], 48)
+
+#: ``engine`` parameter -> simulator: the op-level rescan oracle or the
+#: compiled heap loop.
+ENGINES = {"reference": oracle_simulate, "event": simulate}
 
 #: Pinned seeds for the chaos suite — new seeds mean a new contract.
 CHAOS_SEEDS = (7, 42, 1234)
@@ -60,9 +69,9 @@ def assert_results_identical(a, b):
 @pytest.mark.parametrize("engine", ["reference", "event"])
 def test_empty_schedule_is_bitwise_noop(scenario, engine):
     sched, profile, topo, options = SCENARIOS[scenario]()
-    clean = simulate(sched, profile, topo, options, engine=engine)
-    empty = simulate(sched, profile, topo, with_faults(options, FaultSchedule()),
-                     engine=engine)
+    run = ENGINES[engine]
+    clean = run(sched, profile, topo, options)
+    empty = run(sched, profile, topo, with_faults(options, FaultSchedule()))
     assert_results_identical(empty, clean)
     assert empty.halted_at is None
 
@@ -249,10 +258,10 @@ def test_engines_agree_under_crash(seed):
 def test_crash_truncates_to_prefix(engine, crash_time):
     """Crash-only schedule == fault-free timeline filtered to ops that
     started before the crash (commit times are non-decreasing)."""
-    clean = simulate(SCHED_15_1, VGG, TOPO_A, engine=engine)
+    run = ENGINES[engine]
+    clean = run(SCHED_15_1, VGG, TOPO_A)
     faults = FaultSchedule([FaultEvent("crash", crash_time, 5)])
-    crashed = simulate(SCHED_15_1, VGG, TOPO_A, SimOptions(faults=faults),
-                       engine=engine)
+    crashed = run(SCHED_15_1, VGG, TOPO_A, SimOptions(faults=faults))
     assert crashed.halted_at == crash_time
     expected = [r for r in clean.records if r.start < crash_time]
     assert crashed.records == expected
@@ -260,20 +269,52 @@ def test_crash_truncates_to_prefix(engine, crash_time):
 
 @pytest.mark.parametrize("engine", ["reference", "event"])
 def test_straggler_stretches_timeline(engine):
-    clean = simulate(SCHED_15_1, VGG, TOPO_A, engine=engine)
+    run = ENGINES[engine]
+    clean = run(SCHED_15_1, VGG, TOPO_A)
     faults = FaultSchedule([
         FaultEvent("straggler", 0.0, 0, duration=10.0, factor=2.0)])
-    slowed = simulate(SCHED_15_1, VGG, TOPO_A, SimOptions(faults=faults),
-                      engine=engine)
+    slowed = run(SCHED_15_1, VGG, TOPO_A, SimOptions(faults=faults))
     assert slowed.total_time > clean.total_time
     assert slowed.halted_at is None
 
 
 @pytest.mark.parametrize("engine", ["reference", "event"])
 def test_bandwidth_degradation_stretches_timeline(engine):
-    clean = simulate(SCHED_15_1, VGG, TOPO_A, engine=engine)
+    run = ENGINES[engine]
+    clean = run(SCHED_15_1, VGG, TOPO_A)
     faults = FaultSchedule([
         FaultEvent("bandwidth", 0.0, duration=10.0, factor=8.0)])
-    slowed = simulate(SCHED_15_1, VGG, TOPO_A, SimOptions(faults=faults),
-                      engine=engine)
+    slowed = run(SCHED_15_1, VGG, TOPO_A, SimOptions(faults=faults))
     assert slowed.total_time > clean.total_time
+
+
+@pytest.mark.parametrize("engine", ["reference", "event"])
+def test_crash_at_an_op_start_halts_before_it(engine):
+    """Nothing starts at or after the crash instant, ties included."""
+    run = ENGINES[engine]
+    clean = run(SCHED_15_1, VGG, TOPO_A)
+    crash_time = clean.records[len(clean.records) // 2].start
+    faults = FaultSchedule([FaultEvent("crash", crash_time, 5)])
+    crashed = run(SCHED_15_1, VGG, TOPO_A, SimOptions(faults=faults))
+    assert crashed.records == [
+        r for r in clean.records if r.start < crash_time]
+
+
+@pytest.mark.parametrize("engine", ["reference", "event"])
+def test_dp_minibatch_done_is_latest_replica(engine):
+    """Every data-parallel replica runs minibatch 0; it is done when the
+    *latest* replica backward ends, not the last one committed.  Worker 0
+    starts first but straggles 3x, so it ends well after worker 1."""
+    resnet = analytic_profile("resnet50")
+    sched = data_parallel_schedule(2, 4, num_layers=len(resnet))
+    faults = FaultSchedule([
+        FaultEvent("straggler", 0.0, 1, duration=0.05, factor=1.5),
+        FaultEvent("straggler", 0.071, 0, duration=1.0, factor=3.0),
+    ])
+    sim = ENGINES[engine](sched, resnet, cluster_a(1).subset(2),
+                          SimOptions(sync_mode="bsp", faults=faults))
+    b0 = [r for r in sim.records
+          if r.op.kind is OpKind.BACKWARD and r.op.minibatch == 0]
+    assert [r.worker for r in b0] == [0, 1]  # worker 1 commits last
+    assert b0[1].end < b0[0].end
+    assert sim.minibatch_done[0] == b0[0].end == pytest.approx(0.4963, abs=1e-4)

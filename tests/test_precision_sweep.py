@@ -42,6 +42,7 @@ from repro.sim.sweep import (
     records_to_csv,
     run_sweep,
 )
+from tests.sim_oracle import use_oracle
 
 TOPO = cluster_a(4)
 MODELS = ("vgg16", "gnmt8")
@@ -67,11 +68,12 @@ class TestFp32Differential:
         assert default == explicit
 
     def test_reference_engine_identical(self):
-        default = run_sweep(("vgg16",), TOPO, (4,), engine="reference",
-                            minibatches=8)
-        explicit = run_sweep(("vgg16",), TOPO, (4,), engine="reference",
-                             minibatches=8, precisions=("fp32",))
+        with use_oracle():
+            default = run_sweep(("vgg16",), TOPO, (4,), minibatches=8)
+            explicit = run_sweep(("vgg16",), TOPO, (4,), minibatches=8,
+                                 precisions=("fp32",))
         assert default == explicit
+        assert default == run_sweep(("vgg16",), TOPO, (4,), minibatches=8)
 
     def test_scalar_vectorize_identical(self):
         default = run_sweep(("vgg16",), TOPO, COUNTS, vectorize=False,

@@ -184,9 +184,12 @@ class TestBaselines:
 
 class TestValidation:
     def test_detects_missing_backward(self):
-        sched = one_f_one_b_schedule(2, 3)
-        sched.worker_ops[1] = [o for o in sched.worker_ops[1] if not (
+        base = one_f_one_b_schedule(2, 3)
+        worker_ops = {w: list(ops) for w, ops in base.worker_ops.items()}
+        worker_ops[1] = [o for o in worker_ops[1] if not (
             o.kind == OpKind.BACKWARD and o.minibatch == 2)]
+        sched = Schedule(base.stages, base.num_minibatches, worker_ops,
+                         base.stage_workers, base.noam)
         with pytest.raises(ValueError):
             validate_schedule(sched)
 
@@ -234,3 +237,37 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             validate_schedule(sched)
+
+
+class TestPackedForm:
+    """Schedules store one int sequence per worker; ``worker_ops`` is a
+    read-only :class:`Op` view of it."""
+
+    def test_worker_ops_is_read_only(self):
+        sched = one_f_one_b_schedule(2, 3)
+        with pytest.raises(TypeError):
+            sched.worker_ops[1] = []
+        assert len(sched.worker_ops[0]) == len(list(sched.worker_ops[0]))
+
+    def test_op_lists_round_trip(self):
+        built = one_f_one_b_rr_schedule([Stage(0, 1, 2), Stage(1, 2, 1)], 6)
+        packed = Schedule(
+            built.stages, built.num_minibatches,
+            {w: list(ops) for w, ops in built.worker_ops.items()},
+            built.stage_workers, built.noam)
+        assert packed == built
+        assert packed.worker_codes == built.worker_codes
+        assert packed.forward_first and built.forward_first
+
+    def test_worker_serves_one_stage(self):
+        with pytest.raises(ValueError, match="one stage"):
+            Schedule([Stage(0, 1, 1), Stage(1, 2, 1)], 1,
+                     {0: [Op(OpKind.FORWARD, 0, 0), Op(OpKind.FORWARD, 1, 0)]},
+                     {0: [0], 1: [0]}, noam=1)
+
+    def test_backward_ahead_of_forward_is_recorded(self):
+        sched = Schedule(
+            [Stage(0, 1, 1)], 1,
+            {0: [Op(OpKind.BACKWARD, 0, 0), Op(OpKind.FORWARD, 0, 0)]},
+            {0: [0]}, noam=1)
+        assert not sched.forward_first

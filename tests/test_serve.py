@@ -183,6 +183,21 @@ class TestSimulateSweepBatch:
         with pytest.raises(RequestError, match="unknown strategy"):
             PlannerService().simulate(dict(VGG, strategy="zpp"))
 
+    def test_simulate_engine_field(self):
+        """The simulator has one loop: ``engine`` stays accepted as
+        ``"event"`` under the historical cache key; anything else is a
+        400."""
+        service = PlannerService()
+        first = service.simulate(dict(VGG, minibatches=8, engine="event"))
+        assert first["cached"] is False
+        assert service.simulate(dict(VGG, minibatches=8))["cached"] is True
+        (key,) = service.plan_cache.keys()
+        assert key[0] == "simulate" and key[2:] == ("pipedream", 8, "event")
+        with pytest.raises(RequestError, match="unknown engine"):
+            service.simulate(dict(VGG, engine="reference"))
+        with pytest.raises(RequestError, match="unknown engine"):
+            service.sweep({"models": ["vgg16"], "engine": "reference"})
+
     def test_sweep_matches_run_sweep(self):
         from repro.sim import run_sweep
 

@@ -1,9 +1,10 @@
-"""The event-driven engine is an optimization, not a semantic change.
+"""The compiled heap loop is an optimization, not a semantic change.
 
-Every scenario here runs the same schedule through ``engine="reference"``
-(the original rescan loop) and ``engine="event"`` (heap + wakeup lists)
-and asserts bitwise-identical results: the full OpRecord timeline, the
-aggregate busy/sync accounting, and the per-minibatch completion times.
+Every scenario here runs the same schedule through the op-level rescan
+oracle (``tests/sim_oracle.py``) and :func:`simulate` (the compiled heap
+loop) and asserts bitwise-identical results: the full OpRecord timeline,
+the aggregate busy/sync accounting, and the per-minibatch completion
+times.
 The hypothesis case fuzzes profiles, stragglers, and NIC contention on
 top of the hand-picked regressions.
 
@@ -30,20 +31,32 @@ from repro.core.topology import cluster_a, cluster_b, make_cluster
 from repro.profiler import analytic_profile
 from repro.sim.executor import SimOptions, simulate
 from repro.sim.strategies import balanced_straight_stages
+from tests.sim_oracle import oracle_simulate
 
 VGG = analytic_profile("vgg16")
 TOPO_A = cluster_a(4)
 
 
 def assert_engines_identical(sched, profile, topo, options=None):
-    ref = simulate(sched, profile, topo, options, engine="reference")
-    evt = simulate(sched, profile, topo, options, engine="event")
+    ref = oracle_simulate(sched, profile, topo, options)
+    evt = simulate(sched, profile, topo, options)
     assert evt.records == ref.records
+    assert len(evt.raw_records) == len(ref.raw_records)
     assert evt.total_time == ref.total_time
+    assert evt.halted_at == ref.halted_at
     assert evt.channel_busy == ref.channel_busy
     assert evt.sync_busy == ref.sync_busy
+    assert evt.sync_exposed == ref.sync_exposed
     assert evt.compute_time_per_worker == ref.compute_time_per_worker
     assert evt.minibatch_done == ref.minibatch_done
+    # Insertion order matters too: float sums over these dicts (the
+    # utilization average, per-link byte totals) follow it.
+    assert list(evt.compute_time_per_worker) == list(
+        ref.compute_time_per_worker)
+    assert list(evt.channel_busy) == list(ref.channel_busy)
+    assert list(evt.sync_busy) == list(ref.sync_busy)
+    assert list(evt.minibatch_done) == list(ref.minibatch_done)
+    return evt
 
 
 STAGES_16 = balanced_straight_stages(VGG, 16)
@@ -78,7 +91,7 @@ SCENARIOS = {
         SimOptions(sync_mode="bsp", worker_speed={0: 0.7},
                    nic_contention=True)),
     # BSP round commits bump every sibling's worker_free at once — the
-    # event engine's dirty-marking path.  Stragglers desynchronize the
+    # heap loop's dirty-marking path.  Stragglers desynchronize the
     # round members so the bumps actually move queued ready times.
     "bsp_dp_stragglers_16w": lambda: (
         data_parallel_schedule(16, 24, num_layers=len(VGG)), VGG, TOPO_A,
@@ -250,7 +263,7 @@ def test_memoized_solver_matches_cold_solves():
 
 
 # ----------------------------------------------------------------------
-# Tensor-parallel stages: intra-stage collectives in both engines.
+# Tensor-parallel stages: intra-stage collectives, loop vs oracle.
 # ----------------------------------------------------------------------
 
 from repro.core.partition import SolverContext  # noqa: E402

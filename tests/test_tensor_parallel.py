@@ -29,6 +29,7 @@ structural invariants.
 
 import dataclasses
 import itertools
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,7 @@ from repro.sim.memory import pipeline_memory_footprint, stage_memory_bytes
 from repro.sim.network import Placement, allreduce_cost_factors, allreduce_time
 from repro.sim.strategies import simulate_pipedream
 from repro.sim.sweep import records_to_csv, run_sweep
+from tests.sim_oracle import use_oracle
 
 TOPO_A = cluster_a(4)
 VGG_LIMIT = 7e9  # binding-but-feasible for vgg16 @ 16 workers at tp=1
@@ -132,10 +134,10 @@ class TestTp1BitwiseNoOp:
 
     def test_both_engines(self):
         profile = analytic_profile("vgg16")
-        for engine in ("event", "reference"):
-            base = simulate_pipedream(profile, TOPO_A, engine=engine)
-            tp1 = simulate_pipedream(
-                profile, TOPO_A, engine=engine, tp_degrees=(1,))
+        for engine in (nullcontext, use_oracle):
+            with engine():
+                base = simulate_pipedream(profile, TOPO_A)
+                tp1 = simulate_pipedream(profile, TOPO_A, tp_degrees=(1,))
             assert tp1.config == base.config
             assert tp1.throughput == base.throughput
             assert tp1.communication_overhead == base.communication_overhead

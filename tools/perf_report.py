@@ -46,7 +46,7 @@ def main(argv: list[str]) -> int:
     speed = results.get("event_vs_reference_1f1b_16w", {}).get("detail", {})
     if speed:
         print(
-            f"event engine: {speed['speedup']:.2f}x over reference, "
+            f"simulator: {speed['speedup']:.2f}x over the rescan oracle, "
             f"identical timeline: {speed['identical_timeline']}"
         )
     mem = results.get("memory_refined_solve_vgg16_16w", {}).get("detail", {})
