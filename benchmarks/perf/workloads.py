@@ -584,3 +584,46 @@ def hybrid_3d_plan():
             "solve_seconds": {"value": plan.solve_seconds, "max": 1.0},
         },
     }
+
+
+@workload("vgg_small_train_pass")
+def vgg_small_train_pass():
+    """One 1F1B ``PipelineTrainer`` pass of the scaled VGG-16.
+
+    ``build_vgg(scale=0.25)`` over a pinned 4-stage straight split, 8
+    minibatches of 16 seeded images: the conv/pool kernels, autodiff,
+    SGD with weight stashing and the in-process comm layer, no planner
+    and no simulator.  Each timed run builds a fresh trainer (it
+    deep-copies its stages), so every run trains from the same weights.
+    """
+    import numpy as np
+
+    from repro.core.partition import Stage
+    from repro.data.synthetic import make_image_data
+    from repro.models import build_vgg
+    from repro.nn.loss import CrossEntropyLoss
+    from repro.optim.sgd import SGD
+    from repro.runtime.pipeline import PipelineTrainer
+
+    split = ((0, 6), (6, 12), (12, 18), (18, 22))
+    batch, minibatches = 16, 8
+    model = build_vgg(scale=0.25, rng=np.random.default_rng(0))
+    images, labels = make_image_data(num_samples=batch * minibatches, seed=0)
+    batches = [(images[i:i + batch], labels[i:i + batch])
+               for i in range(0, len(labels), batch)]
+    losses = []
+
+    def run():
+        trainer = PipelineTrainer(
+            model, [Stage(start, stop, 1) for start, stop in split],
+            CrossEntropyLoss(), lambda params: SGD(params, lr=0.05, momentum=0.9))
+        trainer.train_minibatches(batches)
+        losses[:] = trainer.stats.losses
+
+    seconds = best_of(run)
+    return seconds, {
+        "split": [list(s) for s in split],
+        "minibatches": minibatches,
+        "batch": batch,
+        "losses_finite": all(np.isfinite(losses)),
+    }

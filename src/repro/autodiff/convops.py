@@ -1,8 +1,17 @@
-"""Convolution and pooling primitives (NCHW layout) built on im2col.
+"""Convolution and pooling primitives (NCHW layout): every conv product is one
+batched GEMM over im2col columns, each pool one reshape into non-overlapping
+windows.
 
-``im2col``/``col2im`` use explicit loops over the (small) kernel window and
-vectorised slicing over the batch and spatial extent, which is the standard
-fast pure-numpy formulation.
+The conv GEMMs (see :class:`Conv2d`) work on contiguous (N, rows, OH*OW)
+stacks: the forward output is already NCHW, and the input-gradient
+columns reach ``col2im`` without a copy.  The input gradient is skipped
+(``None``) when the input needs none, as for the first conv of a model or
+of pipeline stage 0.
+
+Pools take non-overlapping windows only (stride = kernel; anything else
+raises ``ValueError``): x, cropped to whole windows, is reshaped to
+(N, C, OH, k, OW, k) and reduced over the two window axes; the backward
+is the inverse reshape, zero-padded back over any cropped border.
 """
 
 from __future__ import annotations
@@ -22,18 +31,21 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 def im2col(
     x: np.ndarray, kh: int, kw: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
-    """Unfold ``x`` (N, C, H, W) into columns of shape (N, C*kh*kw, OH*OW)."""
+    """Unfold ``x`` (N, C, H, W) into columns of shape (N, C*kh*kw, OH*OW).
+
+    The strided window view (N, C, OH, OW, kh, kw) is copied once, in
+    (N, C, kh, kw, OH, OW) order.
+    """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:padding + h, padding:padding + w] = x
+        x = padded
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
     return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
@@ -62,75 +74,103 @@ def col2im(
 
 
 class Conv2d(Function):
-    """2D convolution: x (N,C,H,W) * weight (F,C,kh,kw) + bias (F,)."""
+    """2D convolution x (N,C,H,W) * weight (F,C,kh,kw) + optional bias (F,).
+    Batched GEMMs over the im2col columns, w2 = weight as (F, C*kh*kw):
+    out = w2 @ cols, grad_w = sum over n of grad2 @ cols^T, and
+    grad_x = col2im(w2^T @ grad2), which is ``None`` (not computed) when
+    x needs no gradient.
+    """
 
     def forward(self, x, weight, bias, stride: int = 1, padding: int = 0):
         self.stride, self.padding = stride, padding
         f, c, kh, kw = weight.shape
         cols, oh, ow = im2col(x, kh, kw, stride, padding)
         w2 = weight.reshape(f, c * kh * kw)
-        out = np.einsum("fk,nkp->nfp", w2, cols, optimize=True)
-        out = out.reshape(x.shape[0], f, oh, ow)
+        out = np.matmul(w2, cols)  # (N, F, OH*OW)
         if bias is not None:
-            out += bias.reshape(1, f, 1, 1)
-        self.save_for_backward(cols, x.shape, weight)
+            out += bias.reshape(1, f, 1)
+        self.save_for_backward(cols, x.shape, w2, weight.shape)
         self.has_bias = bias is not None
-        return out
+        self.needs_input_grad = self.parents[0].requires_grad
+        return out.reshape(x.shape[0], f, oh, ow)
 
     def backward(self, grad):
-        cols, x_shape, weight = self.saved
-        n, f = grad.shape[0], grad.shape[1]
-        _, c, kh, kw = weight.shape
-        grad2 = grad.reshape(n, f, -1)  # (N, F, OH*OW)
-        grad_w = np.einsum("nfp,nkp->fk", grad2, cols, optimize=True)
-        grad_w = grad_w.reshape(weight.shape)
+        cols, x_shape, w2, w_shape = self.saved
+        _, _, kh, kw = w_shape
+        grad2 = grad.reshape(grad.shape[0], grad.shape[1], -1)  # (N, F, OH*OW)
+        grad_w = np.matmul(grad2, cols.transpose(0, 2, 1)).sum(0).reshape(w_shape)
         grad_b = grad2.sum(axis=(0, 2)) if self.has_bias else None
-        w2 = weight.reshape(f, c * kh * kw)
-        grad_cols = np.einsum("fk,nfp->nkp", w2, grad2, optimize=True)
-        grad_x = col2im(grad_cols, x_shape, kh, kw, self.stride, self.padding)
+        grad_x = None
+        if self.needs_input_grad:
+            grad_cols = np.matmul(w2.T, grad2)  # (N, C*kh*kw, OH*OW)
+            grad_x = col2im(grad_cols, x_shape, kh, kw, self.stride, self.padding)
         return grad_x, grad_w, grad_b
 
 
+def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """``x`` cropped to whole windows, viewed as (N, C, OH, k, OW, k)."""
+    if stride != kernel:
+        raise ValueError(
+            f"pooling supports non-overlapping windows only (stride = kernel), "
+            f"got kernel={kernel}, stride={stride}"
+        )
+    n, c, h, w = x.shape
+    oh, ow = h // kernel, w // kernel
+    x = x[:, :, : oh * kernel, : ow * kernel]
+    return x.reshape(n, c, oh, kernel, ow, kernel)
+
+
+def _unwindow(grad: np.ndarray, x_shape: Tuple[int, int, int, int]) -> np.ndarray:
+    """Inverse of :func:`_windows`: (N, C, OH, k, OW, k) back to ``x_shape``."""
+    n, c, oh, k, ow, _ = grad.shape
+    grad = grad.reshape(n, c, oh * k, ow * k)
+    h, w = x_shape[2], x_shape[3]
+    if (oh * k, ow * k) != (h, w):
+        grad = np.pad(grad, ((0, 0), (0, 0), (0, h - oh * k), (0, w - ow * k)))
+    return grad
+
+
 class MaxPool2d(Function):
+    """Max over non-overlapping k x k windows (stride = kernel, else ValueError).
+    x is reshaped to (N, C, OH, k, OW, k); the first maximum of each
+    window gets the gradient, and a border narrower than a window gets
+    zero.
+    """
+
     def forward(self, x, kernel: int, stride: int):
-        self.kernel, self.stride = kernel, stride
-        n, c, h, w = x.shape
-        cols, oh, ow = im2col(x, kernel, kernel, stride, padding=0)
-        cols = cols.reshape(n, c, kernel * kernel, oh * ow)
-        argmax = cols.argmax(axis=2)
-        out = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2)
-        self.save_for_backward(argmax, x.shape, oh, ow)
-        return out.reshape(n, c, oh, ow)
+        win = _windows(x, kernel, stride)
+        n, c, oh, k, ow, _ = win.shape
+        flat = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, k * k)
+        argmax = flat.argmax(axis=-1)[..., None]
+        self.save_for_backward(argmax, x.shape, k)
+        return np.take_along_axis(flat, argmax, axis=-1)[..., 0]
 
     def backward(self, grad):
-        argmax, x_shape, oh, ow = self.saved
-        n, c = x_shape[0], x_shape[1]
-        k = self.kernel
-        grad_cols = np.zeros((n, c, k * k, oh * ow), dtype=grad.dtype)
-        grad2 = grad.reshape(n, c, 1, oh * ow)
-        np.put_along_axis(grad_cols, argmax[:, :, None, :], grad2, axis=2)
-        grad_cols = grad_cols.reshape(n, c * k * k, oh * ow)
-        return (col2im(grad_cols, x_shape, k, k, self.stride, padding=0),)
+        argmax, x_shape, k = self.saved
+        n, c, oh, ow, _ = argmax.shape
+        flat = np.zeros((n, c, oh, ow, k * k), dtype=grad.dtype)
+        np.put_along_axis(flat, argmax, grad[..., None], axis=-1)
+        win = flat.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
+        return (_unwindow(win, x_shape),)
 
 
 class AvgPool2d(Function):
+    """Mean over non-overlapping k x k windows (stride = kernel, else ValueError).
+    x is reshaped to (N, C, OH, k, OW, k); a border narrower than a
+    window gets zero gradient.
+    """
+
     def forward(self, x, kernel: int, stride: int):
-        self.kernel, self.stride = kernel, stride
-        n, c, h, w = x.shape
-        cols, oh, ow = im2col(x, kernel, kernel, stride, padding=0)
-        cols = cols.reshape(n, c, kernel * kernel, oh * ow)
-        out = cols.mean(axis=2)
-        self.save_for_backward(x.shape, oh, ow)
-        return out.reshape(n, c, oh, ow)
+        win = _windows(x, kernel, stride)
+        self.save_for_backward(x.shape, kernel)
+        return win.mean(axis=(3, 5))
 
     def backward(self, grad):
-        x_shape, oh, ow = self.saved
-        n, c = x_shape[0], x_shape[1]
-        k = self.kernel
-        grad2 = grad.reshape(n, c, 1, oh * ow) / (k * k)
-        grad_cols = np.broadcast_to(grad2, (n, c, k * k, oh * ow)).copy()
-        grad_cols = grad_cols.reshape(n, c * k * k, oh * ow)
-        return (col2im(grad_cols, x_shape, k, k, self.stride, padding=0),)
+        x_shape, k = self.saved
+        n, c, oh, ow = grad.shape
+        win = np.broadcast_to(
+            (grad / (k * k))[:, :, :, None, :, None], (n, c, oh, k, ow, k))
+        return (_unwindow(win, x_shape),)
 
 
 class GlobalAvgPool2d(Function):

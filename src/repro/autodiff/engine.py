@@ -83,8 +83,13 @@ class Function:
 
     @classmethod
     def apply(cls, *args, **kwargs) -> "Tensor":
-        tensor_args = [a for a in args if isinstance(a, Tensor)]
-        ctx = cls(*tensor_args)
+        # A raw array argument becomes a constant parent, so ``parents``
+        # lines up with the arrays ``forward`` receives and ``backward``
+        # returns one gradient each for.  A ``None`` argument gets no
+        # parent, so it must come after every array (Conv2d's bias).
+        parents = [a if isinstance(a, Tensor) else Tensor(a)
+                   for a in args if isinstance(a, (Tensor, np.ndarray))]
+        ctx = cls(*parents)
         raw = [a.data if isinstance(a, Tensor) else a for a in args]
         out_data = ctx.forward(*raw, **kwargs)
         out = Tensor(out_data, requires_grad=ctx.requires_grad and _grad_enabled())

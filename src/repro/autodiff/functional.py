@@ -63,17 +63,17 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    if bias is None:
-        zero_bias = Tensor(np.zeros(weight.shape[0], dtype=weight.dtype))
-        return convops.Conv2d.apply(x, weight, zero_bias, stride=stride, padding=padding)
+    """2D convolution; ``bias=None`` adds no bias and gets no gradient."""
     return convops.Conv2d.apply(x, weight, bias, stride=stride, padding=padding)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
+    """Max pool over non-overlapping windows: ``stride`` must equal ``kernel``."""
     return convops.MaxPool2d.apply(x, kernel=kernel, stride=stride or kernel)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
+    """Average pool over non-overlapping windows: ``stride`` must equal ``kernel``."""
     return convops.AvgPool2d.apply(x, kernel=kernel, stride=stride or kernel)
 
 

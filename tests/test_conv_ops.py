@@ -120,3 +120,18 @@ class TestPooling:
     def test_pad2d_shape(self, rng):
         x = t(rng, 1, 2, 3, 3)
         assert F.pad2d(x, (2, 1)).shape == (1, 2, 7, 5)
+
+
+class TestArrayArguments:
+    def test_raw_array_input_keeps_gradients_aligned(self, rng):
+        """A numpy input is a constant parent: w and b get their own grads."""
+        x = rng.standard_normal((1, 2, 4, 4))
+        w = t(rng, 3, 2, 3, 3, scale=0.2)
+        b = t(rng, 3)
+        F.conv2d(x, w, b, padding=1).sum().backward()
+        assert w.grad.shape == w.shape
+        assert b.grad.shape == b.shape
+        np.testing.assert_allclose(b.grad, np.full(3, 16.0))
+        w_ref = Tensor(w.data, requires_grad=True)
+        F.conv2d(Tensor(x), w_ref, None, padding=1).sum().backward()
+        np.testing.assert_allclose(w.grad, w_ref.grad)
