@@ -24,9 +24,11 @@ from repro.sim.strategies import (
 )
 from repro.sim.sweep import run_sweep
 
-# The op-level rescan oracle lives with the tests it anchors.
+# The scalar planner and the op-level rescan simulator live with the
+# tests they anchor.
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
+from tests.partition_oracle import OraclePlanner, use_oracle_planner  # noqa: E402
 from tests.sim_oracle import oracle_simulate, use_oracle  # noqa: E402
 
 #: The seven models of the paper's evaluation (§5.1, Table 1/2).
@@ -159,14 +161,14 @@ def gnmt16_deep_pipeline_solve():
 
     The deep encoder-decoder stack drives the DP toward a long straight
     pipeline, the worst case for the per-split evaluator loop.  Times the
-    vectorized solve and asserts it agrees with the scalar reference.
+    solve and asserts it agrees with the scalar oracle planner.
     """
     profile = analytic_profile("gnmt16")
     topology = cluster_a(8)  # 32 workers
-    plan = PipeDreamOptimizer(profile, topology, vectorize=True).solve()
-    scalar = PipeDreamOptimizer(profile, topology, vectorize=False).solve()
+    plan = PipeDreamOptimizer(profile, topology).solve()
+    scalar = OraclePlanner(profile, topology).solve()
     seconds = best_of(
-        lambda: PipeDreamOptimizer(profile, topology, vectorize=True).solve()
+        lambda: PipeDreamOptimizer(profile, topology).solve()
     )
     return seconds, {
         "workers": 32,
@@ -178,59 +180,18 @@ def gnmt16_deep_pipeline_solve():
     }
 
 
-@workload("memory_limited_solve_vgg16_16w")
-def memory_limited_solve():
-    """VGG-16 at 16 workers under an *active* memory cap, bound-only mode.
-
-    The conservative bound prices whole spans at worst-case depth through
-    the shared §3.3 kernel (``stage_memory_cost``); the smallest cap it
-    can certify for VGG-16 @ 16 workers is ~13.2 GB (the ~820 MB early
-    conv activations x 16 versions), so 14 GB/worker is feasible but
-    binding.  The DP must price out candidate splits via ``_memory_ok``
-    on every level — the feasibility-filter hot path the unconstrained
-    solves never touch.  (Historical note: this workload ran at 7 GB when
-    the bound charged only the boundary activation; that arithmetic
-    under-counted and is gone.)
-    """
-    profile = analytic_profile("vgg16")
-    topology = cluster_a(4)
-    limit = 14e9
-    free_plan = PipeDreamOptimizer(profile, topology).solve()
-    # memory_refine=False pins this workload to the worst-case-bound path
-    # it has always measured; the refined pass has its own workload below.
-    capped = PipeDreamOptimizer(
-        profile, topology, memory_limit_bytes=limit, memory_refine=False
-    )
-    plan = capped.solve()
-    scalar_plan = PipeDreamOptimizer(
-        profile, topology, memory_limit_bytes=limit, vectorize=False,
-        memory_refine=False,
-    ).solve()
-    seconds = best_of(
-        lambda: PipeDreamOptimizer(
-            profile, topology, memory_limit_bytes=limit, memory_refine=False
-        ).solve()
-    )
-    return seconds, {
-        "workers": 16,
-        "memory_limit_gb": limit / 1e9,
-        "config": plan.config_string,
-        "constraint_active": plan.stages != free_plan.stages,
-        "matches_scalar": plan.stages == scalar_plan.stages,
-    }
-
-
 @workload("memory_refined_solve_vgg16_16w")
 def memory_refined_solve():
     """The two-phase memory-faithful solve at a binding 7 GB cap.
 
-    At 7 GB the conservative bound-only mode has *no* feasible plan (the
-    early conv activations cost > 13 GB at worst-case depth), while the
-    refined pass — the shared §3.3 kernel evaluated at the exact 1F1B
-    warmup depth — recovers a plan that genuinely fits.  This workload
-    tracks the two-phase solve's cost and asserts the refined plan is
-    strictly better than anything the bound can certify at the same cap
-    while staying inside it on every worker.
+    At 7 GB the conservative bound-only mode (kept in the scalar oracle
+    planner) has *no* feasible plan (the early conv activations cost
+    > 13 GB at worst-case depth), while the refined pass — the shared
+    §3.3 kernel evaluated at the exact 1F1B warmup depth — recovers a plan
+    that genuinely fits.  This workload tracks the two-phase solve's cost
+    and asserts the refined plan is strictly better than anything the
+    bound can certify at the same cap while staying inside it on every
+    worker, and that the scalar oracle planner lands the same plan.
     """
     import math
 
@@ -241,7 +202,7 @@ def memory_refined_solve():
     topology = cluster_a(4)
     limit = 7e9
     try:
-        bound_plan = PipeDreamOptimizer(
+        bound_plan = OraclePlanner(
             profile, topology, memory_limit_bytes=limit, memory_refine=False
         ).solve()
         bound_config = bound_plan.config_string
@@ -251,8 +212,8 @@ def memory_refined_solve():
         bound_time = math.inf
     refined = PipeDreamOptimizer(profile, topology, memory_limit_bytes=limit)
     plan = refined.solve()
-    scalar_plan = PipeDreamOptimizer(
-        profile, topology, memory_limit_bytes=limit, vectorize=False
+    scalar_plan = OraclePlanner(
+        profile, topology, memory_limit_bytes=limit
     ).solve()
     footprint = pipeline_memory_footprint(profile, plan.stages)
     details = evaluate_partition_details(
@@ -348,9 +309,10 @@ def mixed_precision_sweep():
 def full_sweep():
     """The headline sweep: 7 paper models x {4,8,16} workers x {dp, pd}.
 
-    The tracked number is the optimized serial path (vectorized evaluator
-    + profile cache); the detail keeps the scalar/cold baseline measured
-    once per harness run, the speedup over it (the issue's >= 3x
+    The tracked number is the optimized serial path (numpy planner and
+    evaluator + profile cache); the detail keeps the scalar/cold baseline
+    (the oracle planner and placement walk, profiles rebuilt per cell)
+    measured once per harness run, the speedup over it (the >= 3x
     acceptance bar), and bitwise-equality flags for both the scalar
     baseline and a 2-worker parallel run against the serial records.
     """
@@ -360,8 +322,9 @@ def full_sweep():
 
     clear_profile_cache()
     t0 = _time.perf_counter()
-    baseline = run_sweep(PAPER_MODELS, topology, counts, workers=1,
-                         vectorize=False, profile_cache=False)
+    with use_oracle_planner():
+        baseline = run_sweep(PAPER_MODELS, topology, counts, workers=1,
+                             profile_cache=False)
     baseline_seconds = _time.perf_counter() - t0
 
     clear_profile_cache()
@@ -514,9 +477,9 @@ def hybrid_3d_plan():
     attention stage's footprint busts the cap at every 2D cell — while
     the ``tp_degrees=(1, 2)`` menu recovers a plan by sharding the tail
     across a 2-way tensor-parallel group.  Gates: the recovered plan
-    carries at least one tp>1 stage and fits the cap; the scalar twin
-    and a warm-started solve are bitwise identical to the vectorized
-    cold solve; the simulator and the rescan oracle agree on the hybrid
+    carries at least one tp>1 stage and fits the cap; the scalar oracle
+    planner and a warm-started solve are bitwise identical to the cold
+    solve; the simulator and the rescan oracle agree on the hybrid
     timeline.  The tracked number is the 3D solve plus the simulation,
     and the solve itself is held to an absolute wall-clock ceiling.
     """
@@ -537,9 +500,8 @@ def hybrid_3d_plan():
     plan = PipeDreamOptimizer(
         profile, topology, memory_limit_bytes=limit, tp_degrees=menu,
     ).solve()
-    scalar = PipeDreamOptimizer(
+    scalar = OraclePlanner(
         profile, topology, memory_limit_bytes=limit, tp_degrees=menu,
-        vectorize=False,
     ).solve()
     warm = PipeDreamOptimizer(
         profile, topology, memory_limit_bytes=limit, tp_degrees=menu,

@@ -58,10 +58,18 @@ CLUSTERS = {
     "1080ti": cluster_1080ti,
 }
 
+#: Solver modes that were removed from the planner.  Requests may still
+#: name them with the one value every solve now runs (``true``); ``false``
+#: asked for the removed mode and is refused.
+_REMOVED_MODES = {
+    "vectorize": "scalar planner",
+    "memory_refine": "bound-only memory mode",
+}
+
 _PLAN_KEYS = frozenset({
     "model", "profile", "device", "precision",
     "cluster", "servers", "topology", "num_workers",
-    "memory_limit_bytes", "allow_replication", "memory_refine", "vectorize",
+    "memory_limit_bytes", "allow_replication", *_REMOVED_MODES,
     "bucket_bytes", "recompute", "tp_degrees",
 })
 _SIMULATE_KEYS = _PLAN_KEYS | {"strategy", "minibatches", "engine",
@@ -70,6 +78,43 @@ _SIMULATE_KEYS = _PLAN_KEYS | {"strategy", "minibatches", "engine",
 
 class RequestError(ValueError):
     """A malformed or unsatisfiable request (HTTP 400, not a server bug)."""
+
+
+def _positive_int(request: Dict[str, Any], name: str, default: int) -> int:
+    """``request[name]`` as an integer of at least 1."""
+    value = request.get(name, default)
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = int(value)
+    except (TypeError, ValueError):
+        raise RequestError(
+            f"{name} must be an integer, got {value!r}") from None
+    if number < 1:
+        raise RequestError(f"{name} must be at least 1, got {number}")
+    return number
+
+
+def _float_field(request: Dict[str, Any], name: str) -> Optional[float]:
+    """``request[name]`` as a float, ``None`` when absent or null."""
+    value = request.get(name)
+    if value is None:
+        return None
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise RequestError(f"{name} must be a number, got {value!r}") from None
+
+
+def _bool_field(request: Dict[str, Any], name: str, default: bool) -> bool:
+    """``request[name]``, which must be a JSON boolean (``"false"`` is a
+    non-empty string, not false)."""
+    value = request.get(name, default)
+    if not isinstance(value, bool):
+        raise RequestError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _check_engine(request: Dict[str, Any]) -> str:
@@ -115,6 +160,23 @@ def topology_from_dict(data: Dict[str, Any]) -> Topology:
     )
 
 
+def _request_topology(request: Dict[str, Any]) -> Topology:
+    """The request's inline ``topology`` or named ``cluster``/``servers``."""
+    if "topology" in request and "cluster" in request:
+        raise RequestError("give either 'topology' or 'cluster', not both")
+    if "topology" in request:
+        try:
+            return topology_from_dict(request["topology"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RequestError(f"bad topology: {exc}") from exc
+    cluster = request.get("cluster", "a")
+    if cluster not in CLUSTERS:
+        raise RequestError(
+            f"unknown cluster {cluster!r} (have {sorted(CLUSTERS)})"
+        )
+    return CLUSTERS[cluster](_positive_int(request, "servers", 4))
+
+
 def _topology_signature(topology: Topology) -> tuple:
     """The value identity of a topology: levels + compute scale, not name."""
     return (
@@ -141,8 +203,6 @@ class NormalizedQuery:
     num_workers: int
     memory_limit_bytes: Optional[float]
     allow_replication: bool
-    memory_refine: bool
-    vectorize: bool
     bucket_bytes: Optional[float]
     recompute: Optional[str]
     tp_degrees: Optional[Tuple[int, ...]]
@@ -195,22 +255,8 @@ def normalize_plan_request(
             bytes_per_element=PRECISION_BYTES[precision],
         )
 
-    if "topology" in request and "cluster" in request:
-        raise RequestError("give either 'topology' or 'cluster', not both")
-    if "topology" in request:
-        try:
-            topology = topology_from_dict(request["topology"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RequestError(f"bad topology: {exc}") from exc
-    else:
-        cluster = request.get("cluster", "a")
-        if cluster not in CLUSTERS:
-            raise RequestError(
-                f"unknown cluster {cluster!r} (have {sorted(CLUSTERS)})"
-            )
-        topology = CLUSTERS[cluster](int(request.get("servers", 4)))
-
-    num_workers = int(request.get("num_workers", topology.total_workers))
+    topology = _request_topology(request)
+    num_workers = _positive_int(request, "num_workers", topology.total_workers)
     try:
         solve_topology = (
             topology
@@ -220,22 +266,20 @@ def normalize_plan_request(
     except ValueError as exc:
         raise RequestError(str(exc)) from exc
 
-    limit = request.get("memory_limit_bytes")
-    limit = None if limit is None else float(limit)
-    allow_replication = bool(request.get("allow_replication", True))
-    memory_refine = bool(request.get("memory_refine", True))
-    vectorize = bool(request.get("vectorize", True))
-    bucket_bytes = request.get("bucket_bytes")
-    if bucket_bytes is not None:
-        bucket_bytes = float(bucket_bytes)
-        if bucket_bytes <= 0:
-            raise RequestError("bucket_bytes must be positive")
+    limit = _float_field(request, "memory_limit_bytes")
+    allow_replication = _bool_field(request, "allow_replication", True)
+    for field, mode in _REMOVED_MODES.items():
+        if not _bool_field(request, field, True):
+            raise RequestError(
+                f"{field}=false asks for the {mode}, which was removed; "
+                "only true is accepted")
+    bucket_bytes = _float_field(request, "bucket_bytes")
+    if bucket_bytes is not None and bucket_bytes <= 0:
+        raise RequestError("bucket_bytes must be positive")
     recompute = request.get("recompute")
     if recompute is not None and recompute != "auto":
         raise RequestError(
             f"recompute must be null or 'auto', got {recompute!r}")
-    if recompute == "auto" and not memory_refine:
-        raise RequestError("recompute='auto' requires memory_refine")
     tp_degrees = request.get("tp_degrees")
     if tp_degrees is not None:
         from repro.core.sharding import validate_tp_degrees
@@ -264,8 +308,6 @@ def normalize_plan_request(
         num_workers,
         limit,
         allow_replication,
-        memory_refine,
-        vectorize,
         bucket_bytes,
     )
     if recompute is not None:
@@ -278,8 +320,6 @@ def normalize_plan_request(
         num_workers=num_workers,
         memory_limit_bytes=limit,
         allow_replication=allow_replication,
-        memory_refine=memory_refine,
-        vectorize=vectorize,
         bucket_bytes=bucket_bytes,
         recompute=recompute,
         tp_degrees=tp_degrees,
@@ -336,8 +376,6 @@ class PlannerService:
             query.topology,
             allow_replication=query.allow_replication,
             memory_limit_bytes=query.memory_limit_bytes,
-            vectorize=query.vectorize,
-            memory_refine=query.memory_refine,
             bucket_bytes=query.bucket_bytes,
             recompute=query.recompute,
             tp_degrees=query.tp_degrees,
@@ -397,7 +435,7 @@ class PlannerService:
         """
         self._count("simulate")
         strategy = request.get("strategy", "pipedream")
-        minibatches = int(request.get("minibatches", 48))
+        minibatches = _positive_int(request, "minibatches", 48)
         engine = _check_engine(request)
         schedule_family = request.get("schedule_family", "1f1b")
         if schedule_family not in ("1f1b", "2bp"):
@@ -493,15 +531,7 @@ class PlannerService:
         models = request.get("models")
         if not models or not isinstance(models, (list, tuple)):
             raise RequestError("'models' must be a non-empty list")
-        if "topology" in request:
-            topology = topology_from_dict(request["topology"])
-        else:
-            cluster = request.get("cluster", "a")
-            if cluster not in CLUSTERS:
-                raise RequestError(
-                    f"unknown cluster {cluster!r} (have {sorted(CLUSTERS)})"
-                )
-            topology = CLUSTERS[cluster](int(request.get("servers", 4)))
+        topology = _request_topology(request)
         counts = request.get("counts", [4, 8, 16])
 
         from repro.sim import run_sweep
@@ -513,8 +543,8 @@ class PlannerService:
                 [int(c) for c in counts],
                 strategies=tuple(request.get("strategies", ("dp", "pipedream"))),
                 device=request.get("device", "v100"),
-                minibatches=int(request.get("minibatches", 48)),
-                workers=int(request.get("workers", 1)),
+                minibatches=_positive_int(request, "minibatches", 48),
+                workers=_positive_int(request, "workers", 1),
                 executor=request.get("executor", "auto"),
                 precisions=tuple(request.get("precisions", ("fp32",))),
                 bucket_sizes=tuple(

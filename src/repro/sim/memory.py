@@ -2,12 +2,13 @@
 
 This module is the *single source of truth* for per-stage memory: the
 partitioner's phase-1 bound, the refined suffix DP's feasibility masks
-(scalar and vectorized twins), and the simulator/strategy footprint all
-price stashed state through :func:`stage_memory_cost` /
-:func:`stage_memory_bytes`.  There are deliberately no other payload
-formulas in the codebase — keeping one formula is what guarantees the
-planner's bound-admitted ⊇ refined-admitted ⊇ footprint-feasible
-invariant (see ``docs/INTERNALS.md`` §7).  The aggregate helpers below
+(numpy range tables in the library, python floats in the scalar test
+oracle), and the simulator/strategy footprint all price stashed state
+through :func:`stage_memory_cost` / :func:`stage_memory_bytes`.  There
+are deliberately no other payload formulas in the codebase — keeping one
+formula is what guarantees the planner's bound-admitted ⊇
+refined-admitted ⊇ footprint-feasible invariant (see
+``docs/INTERNALS.md`` §7).  The aggregate helpers below
 (`stage_weight_bytes` / `stage_activation_bytes` /
 :func:`stage_deferred_weight_bytes` / :func:`stage_boundary_activation_bytes`)
 share one ``(profile, start, stop)`` signature and are the only place the
@@ -95,9 +96,9 @@ def stage_memory_cost(weight_bytes, deferred_weight_bytes, activation_bytes,
 
     ``weight_bytes`` / ``deferred_weight_bytes`` / ``activation_bytes`` /
     ``boundary_activation_bytes`` may be scalars or numpy arrays (the
-    vectorized DP twin passes range-table arrays); ``depth`` and
-    ``replicas`` are integers.  All consumers — the bound, both refined-DP
-    twins, and the footprint — evaluate exactly this expression, so their
+    planner's DPs pass range-table arrays); ``depth`` and ``replicas`` are
+    integers.  All consumers — the bound, the refined-DP masks, and the
+    footprint — evaluate exactly this expression, so their
     admit/reject decisions can only differ through the
     ``depth``/``replicas``/``recompute``/``tp_degree`` they plug in, never
     through the formula:

@@ -1,12 +1,13 @@
-"""The vectorized plan evaluator is an optimization, not a semantic change.
+"""The numpy plan evaluator is an optimization, not a semantic change.
 
-``evaluate_partition_details(vectorize=True)`` computes every stage with
-numpy arithmetic over cached prefix tables; ``vectorize=False`` is the
-scalar reference twin that walks the :mod:`repro.sim.network` placement
-and all_reduce model stage by stage.  Both paths evaluate the exact same
-float expressions, so this file asserts *bitwise* equality — no approx —
-over every paper model with straight and replicated plans, plus a
-hypothesis fuzz over random profiles, topologies, and plans.
+:func:`evaluate_partition_details` prices tp-free, bucket-free plans with
+numpy arithmetic over cached prefix tables; its reference is the
+placement walk (``_evaluate_details_walk``) that prices tensor-parallel
+and bucketed plans stage by stage through the :mod:`repro.sim.network`
+placement and all_reduce model.  Both evaluate the exact same float
+expressions, so this file asserts *bitwise* equality — no approx — over
+every paper model with straight and replicated plans, plus a hypothesis
+fuzz over random profiles, topologies, and plans.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from repro.core.partition import (
     evaluate_partition_details,
     evaluate_partition_on_topology,
 )
+from tests.partition_oracle import OraclePlanner, oracle_evaluate_details
 from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.topology import cluster_a, cluster_b, cluster_c, make_cluster
 from repro.profiler import analytic_profile
@@ -32,21 +34,15 @@ TOPO_A = cluster_a(4)
 
 
 def assert_evaluations_identical(profile, stages, topology):
-    """Vectorized and scalar evaluations must match bitwise."""
-    vec = evaluate_partition_details(profile, stages, topology,
-                                     vectorize=True)
-    ref = evaluate_partition_details(profile, stages, topology,
-                                     vectorize=False)
+    """Numpy and placement-walk evaluations must match bitwise."""
+    vec = evaluate_partition_details(profile, stages, topology)
+    ref = oracle_evaluate_details(profile, stages, topology)
     assert isinstance(vec, PartitionEvaluation)
-    assert vec.stage_times == ref.stage_times
-    assert vec.boundary_times == ref.boundary_times
-    assert vec.bottleneck_time == ref.bottleneck_time
+    assert vec == ref
     assert vec.bottleneck_stage == ref.bottleneck_stage
     # The scalar convenience wrapper agrees with the details object.
     assert evaluate_partition_on_topology(
-        profile, stages, topology, vectorize=True) == vec.bottleneck_time
-    assert evaluate_partition_on_topology(
-        profile, stages, topology, vectorize=False) == ref.bottleneck_time
+        profile, stages, topology) == vec.bottleneck_time
     return vec
 
 
@@ -77,10 +73,10 @@ def test_replicated_plan_matches(model):
 @pytest.mark.parametrize("model", PAPER_MODELS)
 def test_solved_plan_matches(model):
     """The optimizer's own chosen plan evaluates identically on each path,
-    and both evaluator flavors lead the DP to the same chosen plan."""
+    and the scalar oracle planner chooses the same plan."""
     profile = analytic_profile(model)
-    vec_plan = PipeDreamOptimizer(profile, TOPO_A, vectorize=True).solve()
-    ref_plan = PipeDreamOptimizer(profile, TOPO_A, vectorize=False).solve()
+    vec_plan = PipeDreamOptimizer(profile, TOPO_A).solve()
+    ref_plan = OraclePlanner(profile, TOPO_A).solve()
     assert vec_plan.stages == ref_plan.stages
     assert vec_plan.slowest_stage_time == ref_plan.slowest_stage_time
     assert vec_plan.config_string == ref_plan.config_string

@@ -1,9 +1,9 @@
 """Memory-faithful planning: one §3.3 formula, three consumers.
 
 Every memory decision the planner makes goes through the shared kernel
-``repro.sim.memory.stage_memory_cost``: the phase-1 ``_memory_ok`` bound
-(an optimistic per-layer relaxation in refine mode, a conservative
-worst-case in bound-only mode), the refined suffix DP's feasibility mask
+``repro.sim.memory.stage_memory_cost``: the phase-1 bound (an optimistic
+per-layer relaxation in the library; a conservative worst case in the
+scalar oracle's bound-only mode), the refined suffix DP's feasibility mask
 (the kernel at the *exact* warmup depth ``ceil(suffix / replicas)``), and
 the simulator's ``pipeline_memory_footprint`` (the same kernel at the
 same depth).  The load-bearing invariant is therefore structural:
@@ -17,7 +17,8 @@ This file covers:
 * the §3.3 pinning of ``pipeline_memory_footprint`` itself, including
   the deferred (BPTT-accumulated) weight-stash split on replicated
   stages,
-* scalar/vectorized bitwise identity of refined solves (differential,
+* bitwise identity of refined solves with the scalar oracle planner
+  (``tests/partition_oracle.py``, differential,
   `test_partition_evaluator_equiv`-style),
 * the recovery property on the memory-limited VGG-16 scenario (the perf
   workload's acceptance bar) and the regression the old boundary-
@@ -36,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro.core.partition import (
     PipeDreamOptimizer,
+    SolverContext,
     Stage,
     evaluate_partition_details,
 )
@@ -44,6 +46,7 @@ from repro.core.schedule import warmup_count
 from repro.core.topology import cluster_a, cluster_b, cluster_c, make_cluster
 from repro.profiler import analytic_profile
 from repro.sim.memory import pipeline_memory_footprint, stage_memory_bytes
+from tests.partition_oracle import OraclePlanner
 
 TOPO_A = cluster_a(4)
 VGG_LIMIT = 7e9  # binding for vgg16 @ 16 workers (the perf workload cap)
@@ -128,15 +131,15 @@ class TestSection33Footprint:
 
 
 # ----------------------------------------------------------------------
-# Differential: refined solves are bitwise-identical across twins
+# Differential: refined solves are bitwise-identical to the scalar oracle
 # ----------------------------------------------------------------------
 
 def assert_refined_solves_identical(profile, topology, limit, **kw):
     vec = PipeDreamOptimizer(
-        profile, topology, memory_limit_bytes=limit, vectorize=True, **kw
+        profile, topology, memory_limit_bytes=limit, **kw
     ).solve()
-    ref = PipeDreamOptimizer(
-        profile, topology, memory_limit_bytes=limit, vectorize=False, **kw
+    ref = OraclePlanner(
+        profile, topology, memory_limit_bytes=limit, **kw
     ).solve()
     assert vec.stages == ref.stages
     assert vec.slowest_stage_time == ref.slowest_stage_time
@@ -191,7 +194,7 @@ class TestVgg16Recovery:
         *admitted* 14-1-1 here, whose true footprint busts the cap.)"""
         profile = analytic_profile("vgg16")
         with pytest.raises(RuntimeError):
-            PipeDreamOptimizer(
+            OraclePlanner(
                 profile, TOPO_A, memory_limit_bytes=VGG_LIMIT,
                 memory_refine=False,
             ).solve()
@@ -206,7 +209,7 @@ class TestVgg16Recovery:
         (the old bound returned plans that overflowed the limit)."""
         profile = analytic_profile("vgg16")
         free = PipeDreamOptimizer(profile, TOPO_A).solve()
-        plan = PipeDreamOptimizer(
+        plan = OraclePlanner(
             profile, TOPO_A, memory_limit_bytes=BOUND_LIMIT,
             memory_refine=False,
         ).solve()
@@ -235,17 +238,24 @@ class TestVgg16Recovery:
         )
 
     def test_refine_off_reproduces_bound_only_behavior(self):
+        """The oracle's bound-only mode lands the plan the library's
+        bound-only solve recorded in the perf baseline (11-1-1-1-1-1 at
+        14 GB), and a warm solve through a shared context repeats it."""
         profile = analytic_profile("vgg16")
-        off = PipeDreamOptimizer(
+        off = OraclePlanner(
             profile, TOPO_A, memory_limit_bytes=BOUND_LIMIT,
             memory_refine=False,
         ).solve()
-        off_scalar = PipeDreamOptimizer(
-            profile, TOPO_A, memory_limit_bytes=BOUND_LIMIT,
-            memory_refine=False, vectorize=False,
-        ).solve()
-        assert off.stages == off_scalar.stages
-        assert off.slowest_stage_time == off_scalar.slowest_stage_time
+        assert off.config_string == "11-1-1-1-1-1"
+        context = SolverContext(profile)
+        for _ in range(2):
+            warm = OraclePlanner(
+                profile, TOPO_A, memory_limit_bytes=BOUND_LIMIT,
+                memory_refine=False, context=context,
+            ).solve()
+            assert warm.stages == off.stages
+            assert warm.slowest_stage_time == off.slowest_stage_time
+        assert context.stats()["bound_hits"] >= 1
 
     def test_impossible_limit_raises(self):
         profile = analytic_profile("vgg16")
@@ -254,8 +264,8 @@ class TestVgg16Recovery:
                 profile, TOPO_A, memory_limit_bytes=1.0
             ).solve()
         with pytest.raises(RuntimeError):
-            PipeDreamOptimizer(
-                profile, TOPO_A, memory_limit_bytes=1.0, vectorize=False
+            OraclePlanner(
+                profile, TOPO_A, memory_limit_bytes=1.0
             ).solve()
 
 
@@ -290,9 +300,9 @@ class TestOldBoundRegression:
         profile, topo = self._setup()
         dp_plan = [Stage(0, 2, 2)]
         assert pipeline_memory_footprint(profile, dp_plan) == [120]
-        for vectorize in (True, False):
-            plan = PipeDreamOptimizer(
-                profile, topo, memory_limit_bytes=130.0, vectorize=vectorize
+        for planner in (PipeDreamOptimizer, OraclePlanner):
+            plan = planner(
+                profile, topo, memory_limit_bytes=130.0
             ).solve()
             assert plan.stages == dp_plan
 
@@ -300,7 +310,7 @@ class TestOldBoundRegression:
         """The per-layer optimistic bound admits the span the old
         whole-span worst-case arithmetic rejected."""
         profile, topo = self._setup()
-        opt = PipeDreamOptimizer(profile, topo, memory_limit_bytes=130.0)
+        opt = OraclePlanner(profile, topo, memory_limit_bytes=130.0)
         assert opt._memory_ok(0, 1)
 
 
@@ -398,10 +408,10 @@ class TestSupersetInvariant:
             l.weight_bytes + l.activation_bytes for l in profile.layers
         )
         limit = max(1.0, limit_scale * model_bytes)
-        refine_opt = PipeDreamOptimizer(
+        refine_opt = OraclePlanner(
             profile, topo, memory_limit_bytes=limit
         )
-        bound_opt = PipeDreamOptimizer(
+        bound_opt = OraclePlanner(
             profile, topo, memory_limit_bytes=limit, memory_refine=False
         )
         n = len(profile)
@@ -477,7 +487,7 @@ class TestRecomputeMaskInvariant:
             l.weight_bytes + l.activation_bytes for l in profile.layers
         )
         limit = max(1.0, limit_scale * model_bytes)
-        auto_opt = PipeDreamOptimizer(
+        auto_opt = OraclePlanner(
             profile, topo, memory_limit_bytes=limit, recompute="auto"
         )
         n = len(profile)
@@ -578,9 +588,9 @@ class TestRecomputeBoundaryDepthAudit:
         profile = self._profile()
         topo = make_cluster("flat3", 3, 1, 1000.0, 1000.0)
         limit = 1500.0
-        auto = PipeDreamOptimizer(
+        auto = OraclePlanner(
             profile, topo, memory_limit_bytes=limit, recompute="auto")
-        default = PipeDreamOptimizer(
+        default = OraclePlanner(
             profile, topo, memory_limit_bytes=limit)
         # Depth-2 mask values for span [1, 2): stash-everything busts the
         # cap, checkpointing fits.
@@ -658,19 +668,19 @@ class TestMemoryRefineFuzz:
         )
         limit = max(1.0, limit_scale * model_bytes)
 
-        def solve(**kw):
+        def solve(planner=PipeDreamOptimizer, **kw):
             try:
-                return PipeDreamOptimizer(
+                return planner(
                     profile, topo, memory_limit_bytes=limit, **kw
                 ).solve()
             except RuntimeError:
                 return None
 
         refined = solve()
-        refined_scalar = solve(vectorize=False)
-        bound = solve(memory_refine=False)
+        refined_scalar = solve(OraclePlanner)
+        bound = solve(OraclePlanner, memory_refine=False)
 
-        # Twins agree on feasibility and (bitwise) on the plan.
+        # Library and oracle agree on feasibility and (bitwise) on the plan.
         assert (refined is None) == (refined_scalar is None)
         if refined is not None:
             assert refined.stages == refined_scalar.stages

@@ -42,6 +42,7 @@ from repro.sim.sweep import (
     records_to_csv,
     run_sweep,
 )
+from tests.partition_oracle import use_oracle_planner
 from tests.sim_oracle import use_oracle
 
 TOPO = cluster_a(4)
@@ -76,11 +77,14 @@ class TestFp32Differential:
         assert default == run_sweep(("vgg16",), TOPO, (4,), minibatches=8)
 
     def test_scalar_vectorize_identical(self):
-        default = run_sweep(("vgg16",), TOPO, COUNTS, vectorize=False,
-                            minibatches=16)
-        explicit = run_sweep(("vgg16",), TOPO, COUNTS, vectorize=False,
-                             minibatches=16, precisions=("fp32",))
+        """The scalar oracle planner sweeps the same records, with and
+        without the explicit fp32 axis."""
+        with use_oracle_planner():
+            default = run_sweep(("vgg16",), TOPO, COUNTS, minibatches=16)
+            explicit = run_sweep(("vgg16",), TOPO, COUNTS, minibatches=16,
+                                 precisions=("fp32",))
         assert default == explicit
+        assert default == run_sweep(("vgg16",), TOPO, COUNTS, minibatches=16)
 
     def test_parallel_thread_identical_to_serial(self):
         serial = run_sweep(MODELS, TOPO, COUNTS,

@@ -12,8 +12,8 @@ Covers the ISSUE 9 acceptance bars:
   gnmt16 plan;
 * the pinned feasibility shift: a straight gnmt16 pipeline under a
   2.2 GB/worker cap is infeasible with recompute off and feasible with
-  the planner checkpointing at least one stage — scalar/vectorized twins
-  and warm/cold solves all bitwise-equal;
+  the planner checkpointing at least one stage — library and scalar oracle
+  planner, warm and cold solves all bitwise-equal;
 * the runtime executes 2BP and per-stage recompute with bitwise-identical
   losses and final weights to plain 1F1B (the semantics, not the clock,
   are unchanged).
@@ -35,6 +35,7 @@ from repro.profiler import analytic_profile
 from repro.sim.executor import SimOptions, simulate
 from repro.sim.strategies import simulate_partition
 
+from tests.partition_oracle import OraclePlanner
 from tests.test_sim_engine_equiv import SCENARIOS, assert_engines_identical
 
 GNMT = analytic_profile("gnmt16")
@@ -186,8 +187,8 @@ class TestPlannerRecompute:
         with pytest.raises(ValueError):
             PipeDreamOptimizer(GNMT, TOPO_16, recompute="always")
         with pytest.raises(ValueError):
-            PipeDreamOptimizer(GNMT, TOPO_16, recompute="auto",
-                               memory_refine=False)
+            OraclePlanner(GNMT, TOPO_16, recompute="auto",
+                          memory_refine=False)
 
     def test_generous_limit_prefers_stash_everything(self):
         """Under a non-binding cap the auto solver must emit the exact
@@ -219,12 +220,11 @@ class TestPlannerRecompute:
 
     def test_pinned_shift_twins_bitwise_equal(self):
         plans = [
-            PipeDreamOptimizer(
+            planner(
                 GNMT, TOPO_16, memory_limit_bytes=PINNED_CAP,
                 allow_replication=False, recompute="auto",
-                vectorize=vectorize,
             ).solve()
-            for vectorize in (True, False)
+            for planner in (PipeDreamOptimizer, OraclePlanner)
         ]
         assert plans[0].stages == plans[1].stages
         assert plans[0].slowest_stage_time == plans[1].slowest_stage_time

@@ -38,8 +38,6 @@ def cold_payload(request):
         query.topology,
         allow_replication=query.allow_replication,
         memory_limit_bytes=query.memory_limit_bytes,
-        vectorize=query.vectorize,
-        memory_refine=query.memory_refine,
     ).solve(query.num_workers)
     return (
         [[s.start, s.stop, s.replicas] for s in result.stages],
@@ -112,6 +110,79 @@ class TestNormalization:
         assert full.num_workers == 16
         assert sub.num_workers == 8
         assert full.key != sub.key
+
+
+class TestInputValidation:
+    """Bad field values are 400s, never wrong answers or 500s."""
+
+    def test_boolean_fields_must_be_json_booleans(self):
+        # bool("false") is True: a string must not silently plan with
+        # replication on.
+        with pytest.raises(RequestError, match="allow_replication"):
+            normalize_plan_request(dict(VGG, allow_replication="false"))
+        with pytest.raises(RequestError, match="allow_replication"):
+            normalize_plan_request(dict(VGG, allow_replication=0))
+        plan = PlannerService().plan(dict(VGG, allow_replication=False))
+        assert plan["config"] == "straight"
+
+    @pytest.mark.parametrize("field", [
+        "servers", "num_workers", "memory_limit_bytes", "bucket_bytes",
+    ])
+    def test_non_numeric_fields_are_request_errors(self, field):
+        with pytest.raises(RequestError, match=field):
+            normalize_plan_request(dict(VGG, **{field: "many"}))
+        with pytest.raises(RequestError, match=field):
+            normalize_plan_request(dict(VGG, **{field: [4]}))
+
+    @pytest.mark.parametrize("servers", [0, -1])
+    def test_servers_must_be_positive(self, servers):
+        with pytest.raises(RequestError, match="servers must be at least 1"):
+            normalize_plan_request(dict(VGG, servers=servers))
+
+    @pytest.mark.parametrize("minibatches", [0, -3, "many"])
+    def test_simulate_minibatches_must_be_positive_integers(
+        self, minibatches
+    ):
+        with pytest.raises(RequestError, match="minibatches"):
+            PlannerService().simulate(dict(VGG, minibatches=minibatches))
+
+    @pytest.mark.parametrize("field,mode", [
+        ("vectorize", "scalar planner"),
+        ("memory_refine", "bound-only memory mode"),
+    ])
+    def test_removed_modes(self, field, mode):
+        """``true`` names the one mode every solve runs and leaves the
+        key alone; ``false`` asks for a removed mode and is refused."""
+        plain = normalize_plan_request(VGG)
+        assert normalize_plan_request(dict(VGG, **{field: True})).key == \
+            plain.key
+        with pytest.raises(RequestError, match=mode):
+            normalize_plan_request(dict(VGG, **{field: False}))
+        with pytest.raises(RequestError, match=field):
+            normalize_plan_request(dict(VGG, **{field: "false"}))
+
+    @pytest.mark.parametrize("request_body", [
+        {"topology": {}},
+        {"topology": {"levels": [{"count": "x", "bandwidth": 1.0}]}},
+        {"servers": 0},
+        {"minibatches": 0},
+        {"workers": "two"},
+    ])
+    def test_sweep_bad_values_are_request_errors(self, request_body):
+        with pytest.raises(RequestError):
+            PlannerService().sweep(dict(
+                {"models": ["vgg16"], "counts": [4]}, **request_body))
+
+    def test_http_maps_bad_values_to_400(self):
+        with ServerThread(PlannerService()) as url:
+            http = HTTPPlannerClient(url)
+            for request in (dict(VGG, servers="x"),
+                            dict(VGG, memory_limit_bytes="big"),
+                            dict(VGG, memory_refine=False)):
+                with pytest.raises(RequestError):
+                    http.plan(request)
+            with pytest.raises(RequestError, match="minibatches"):
+                http.simulate(dict(VGG, minibatches=0))
 
 
 class TestPlanEndpoint:

@@ -8,10 +8,10 @@ times.
 The hypothesis case fuzzes profiles, stragglers, and NIC contention on
 top of the hand-picked regressions.
 
-A second group pins the vectorized partitioner DP to the scalar
-reference: same stages, same bottleneck time, same config string, for
-every paper model and the edge cases (no replication, memory limits,
-worker subsets, hierarchical topologies).
+A second group pins the numpy partitioner DPs to the scalar oracle
+planner (``tests/partition_oracle.py``): same stages, same bottleneck
+time, same config string, for every paper model and the edge cases (no
+replication, memory limits, worker subsets, hierarchical topologies).
 """
 
 import pytest
@@ -31,6 +31,7 @@ from repro.core.topology import cluster_a, cluster_b, make_cluster
 from repro.profiler import analytic_profile
 from repro.sim.executor import SimOptions, simulate
 from repro.sim.strategies import balanced_straight_stages
+from tests.partition_oracle import OraclePlanner
 from tests.sim_oracle import oracle_simulate
 
 VGG = analytic_profile("vgg16")
@@ -200,7 +201,7 @@ class TestEngineMatchesReferenceFuzzed:
 
 
 # ----------------------------------------------------------------------
-# Vectorized partitioner DP vs the scalar reference.
+# Numpy partitioner DPs vs the scalar oracle planner.
 # ----------------------------------------------------------------------
 
 PAPER_MODELS = ("vgg16", "resnet50", "alexnet", "gnmt16", "gnmt8",
@@ -208,12 +209,13 @@ PAPER_MODELS = ("vgg16", "resnet50", "alexnet", "gnmt16", "gnmt8",
 
 
 def assert_plans_identical(profile, topo, num_workers=None, **kwargs):
-    vec = PipeDreamOptimizer(profile, topo, vectorize=True, **kwargs)
-    ref = PipeDreamOptimizer(profile, topo, vectorize=False, **kwargs)
+    vec = PipeDreamOptimizer(profile, topo, **kwargs)
+    ref = OraclePlanner(profile, topo, **kwargs)
     pv = vec.solve(num_workers)
     pr = ref.solve(num_workers)
     assert pv.stages == pr.stages
     assert pv.slowest_stage_time == pr.slowest_stage_time
+    assert pv.memory_bytes == pr.memory_bytes
     assert pv.config_string == pr.config_string
     assert pv.num_workers == pr.num_workers
     return pv
@@ -241,10 +243,8 @@ def test_vectorized_memory_limit(toy_profile, flat4):
     # Generous limit: feasible in both, identical plans.
     assert_plans_identical(toy_profile, flat4, memory_limit_bytes=1e9)
     # Impossibly tight limit: both paths must agree it is infeasible.
-    vec = PipeDreamOptimizer(toy_profile, flat4, vectorize=True,
-                             memory_limit_bytes=1.0)
-    ref = PipeDreamOptimizer(toy_profile, flat4, vectorize=False,
-                             memory_limit_bytes=1.0)
+    vec = PipeDreamOptimizer(toy_profile, flat4, memory_limit_bytes=1.0)
+    ref = OraclePlanner(toy_profile, flat4, memory_limit_bytes=1.0)
     with pytest.raises(RuntimeError):
         vec.solve()
     with pytest.raises(RuntimeError):
@@ -337,14 +337,13 @@ class TestTpPlanShift:
     solves agree with cold ones bitwise."""
 
     def test_vgg16_flat8_recovered_by_tp(self):
-        for vectorize in (True, False):
+        for planner in (PipeDreamOptimizer, OraclePlanner):
             with pytest.raises(RuntimeError):
-                PipeDreamOptimizer(
-                    VGG, FLAT8, memory_limit_bytes=VGG_FLAT8_CAP,
-                    vectorize=vectorize).solve()
-            plan = PipeDreamOptimizer(
+                planner(
+                    VGG, FLAT8, memory_limit_bytes=VGG_FLAT8_CAP).solve()
+            plan = planner(
                 VGG, FLAT8, memory_limit_bytes=VGG_FLAT8_CAP,
-                tp_degrees=(1, 2), vectorize=vectorize).solve()
+                tp_degrees=(1, 2)).solve()
             assert plan.config_string == "1x2-1x2-2x2"
             assert max(plan.memory_bytes) <= VGG_FLAT8_CAP
             assert any(s.tp_degree > 1 for s in plan.stages)

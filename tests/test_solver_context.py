@@ -5,7 +5,8 @@ comm tables, suffix-DP rows) are pure caches of deterministic
 intermediates, so a warm-started :meth:`PipeDreamOptimizer.solve` must
 return exactly — bitwise — what a cold solve returns, across every axis a
 planner service varies: worker count, memory cap, precision, solver
-options, and both scalar/vectorized twins.
+options, and the scalar oracle planner (``tests/partition_oracle.py``)
+sharing one context with the library.
 """
 
 import threading
@@ -17,15 +18,16 @@ from repro.core.partition import (
     SolverContext,
     SolverContextPool,
 )
-from repro.core.topology import cluster_a, cluster_b
+from repro.core.topology import cluster_a, cluster_b, make_cluster
 from repro.profiler import analytic_profile
+from tests.partition_oracle import OraclePlanner
 
 TOPO = cluster_a(4)  # 16 workers
 LIMIT = 16e9
 
 
-def cold_solve(profile, workers, **kwargs):
-    return PipeDreamOptimizer(profile, TOPO, **kwargs).solve(workers)
+def cold_solve(profile, workers, planner=PipeDreamOptimizer, **kwargs):
+    return planner(profile, TOPO, **kwargs).solve(workers)
 
 
 def assert_same_plan(a, b):
@@ -83,38 +85,50 @@ class TestWarmStartBitwise:
             )
 
     def test_option_axes_never_collide(self):
-        """Replication/refine/vectorize variants share one context safely."""
+        """Replication variants, the scalar oracle and its bound-only mode
+        share one context safely."""
         profile = analytic_profile("vgg16")
         context = SolverContext(profile)
         variants = [
-            dict(memory_limit_bytes=LIMIT),
-            dict(memory_limit_bytes=LIMIT, memory_refine=False),
-            dict(memory_limit_bytes=LIMIT, allow_replication=False),
-            dict(memory_limit_bytes=LIMIT, vectorize=False),
-            dict(),
+            (PipeDreamOptimizer, dict(memory_limit_bytes=LIMIT)),
+            (OraclePlanner, dict(memory_limit_bytes=LIMIT,
+                                 memory_refine=False)),
+            (PipeDreamOptimizer, dict(memory_limit_bytes=LIMIT,
+                                      allow_replication=False)),
+            (OraclePlanner, dict(memory_limit_bytes=LIMIT)),
+            (PipeDreamOptimizer, dict()),
         ]
         # Interleave two passes so every variant both writes and re-reads.
         for _ in range(2):
-            for kwargs in variants:
-                warm = PipeDreamOptimizer(
+            for planner, kwargs in variants:
+                warm = planner(
                     profile, TOPO, context=context, **kwargs
                 ).solve(16)
-                assert_same_plan(warm, cold_solve(profile, 16, **kwargs))
+                assert_same_plan(
+                    warm, cold_solve(profile, 16, planner, **kwargs))
 
     def test_refined_mode_scalar_twin(self):
+        """Warm oracle solves equal cold oracle and library solves, and
+        reuse only the rows the oracle itself wrote."""
         profile = analytic_profile("vgg16")
         context = SolverContext(profile)
         for workers in (16, 8):
-            warm = PipeDreamOptimizer(
-                profile, TOPO, memory_limit_bytes=7e9, vectorize=False,
-                context=context,
+            warm = OraclePlanner(
+                profile, TOPO, memory_limit_bytes=7e9, context=context,
             ).solve(workers)
             assert_same_plan(
                 warm,
-                cold_solve(profile, workers, memory_limit_bytes=7e9,
-                           vectorize=False),
+                cold_solve(profile, workers, OraclePlanner,
+                           memory_limit_bytes=7e9),
             )
-        assert context.stats()["row_hits"] > 0
+            assert_same_plan(
+                warm, cold_solve(profile, workers, memory_limit_bytes=7e9))
+        hits = context.stats()["row_hits"]
+        assert hits > 0
+        PipeDreamOptimizer(
+            profile, TOPO, memory_limit_bytes=7e9, context=context,
+        ).solve(16)
+        assert context.stats()["row_hits"] == hits
 
     def test_cross_topology_shapes_share_context(self):
         """One context serves different clusters; keys keep them apart."""
@@ -188,6 +202,28 @@ class TestTpNamespace:
                            tp_degrees=(1, 2)),
             )
         assert context.stats()["row_hits"] > 0
+
+
+class TestBoundMatrices:
+    def test_client_chosen_tp_degrees_stay_bounded(self):
+        """The tp key carries the requested max degree, which clients
+        choose freely: a stream of ``tp_degrees=[1, k]`` queries must not
+        keep one O(n^2) bound matrix per ``k`` for ever."""
+        profile = analytic_profile("alexnet")
+        context = SolverContext(profile)
+        topo = make_cluster("flat2", 2, 1, 40.0, 40.0)
+        queries = 40
+        for k in range(2, 2 + queries):
+            opt = PipeDreamOptimizer(
+                profile, topo, memory_limit_bytes=LIMIT, tp_degrees=(1, k),
+                context=context,
+            )
+            opt._bound_matrix()
+        stats = context.stats()
+        assert stats["bound_misses"] == queries
+        assert stats["bound_entries"] == min(
+            queries, context.bound_matrices.capacity)
+        assert stats["bound_entries"] < queries
 
 
 class TestContextSafety:

@@ -13,6 +13,7 @@ from repro.core.topology import cluster_a
 from repro.profiler import clear_profile_cache
 from repro.sim import SweepError, run_sweep
 from repro.sim import sweep as sweep_mod
+from tests.partition_oracle import use_oracle_planner
 
 TOPO = cluster_a(4)
 MODELS = ["vgg16", "resnet50"]
@@ -61,9 +62,11 @@ def test_profile_cache_does_not_change_results(serial_records):
 
 
 def test_scalar_evaluator_matches_vectorized_keys(serial_records):
-    scalar = run(workers=1, vectorize=False)
-    assert [(r.model, r.workers, r.strategy) for r in scalar] == \
-        [(r.model, r.workers, r.strategy) for r in serial_records]
+    """The scalar oracle planner and placement walk sweep the same
+    records, in the same order."""
+    with use_oracle_planner():
+        scalar = run(workers=1)
+    assert scalar == serial_records
 
 
 def test_auto_executor_matches_serial(serial_records):

@@ -56,6 +56,7 @@ from repro.sim.memory import pipeline_memory_footprint, stage_memory_bytes
 from repro.sim.network import Placement, allreduce_cost_factors, allreduce_time
 from repro.sim.strategies import simulate_pipedream
 from repro.sim.sweep import records_to_csv, run_sweep
+from tests.partition_oracle import OraclePlanner, oracle_evaluate_details
 from tests.sim_oracle import use_oracle
 
 TOPO_A = cluster_a(4)
@@ -103,20 +104,19 @@ def assert_results_identical(a, b):
 
 
 class TestTp1BitwiseNoOp:
-    @pytest.mark.parametrize("vectorize", [True, False])
+    @pytest.mark.parametrize("scalar", [True, False])
     @pytest.mark.parametrize(
         "kwargs",
         [{}, {"memory_limit_bytes": VGG_LIMIT},
          {"memory_limit_bytes": VGG_LIMIT, "recompute": "auto"}],
         ids=["free", "capped", "capped-recompute"],
     )
-    def test_planner(self, vectorize, kwargs):
+    def test_planner(self, scalar, kwargs):
+        """``scalar`` runs the oracle planner, else the library."""
+        planner = OraclePlanner if scalar else PipeDreamOptimizer
         profile = analytic_profile("vgg16")
-        base = PipeDreamOptimizer(
-            profile, TOPO_A, vectorize=vectorize, **kwargs).solve()
-        tp1 = PipeDreamOptimizer(
-            profile, TOPO_A, vectorize=vectorize, tp_degrees=(1,),
-            **kwargs).solve()
+        base = planner(profile, TOPO_A, **kwargs).solve()
+        tp1 = planner(profile, TOPO_A, tp_degrees=(1,), **kwargs).solve()
         assert_results_identical(tp1, base)
 
     def test_evaluator(self):
@@ -125,11 +125,9 @@ class TestTp1BitwiseNoOp:
                   Stage(15, len(profile), 1)]
         explicit = [Stage(s.start, s.stop, s.replicas, tp_degree=1)
                     for s in stages]
-        for vectorize in (True, False):
-            a = evaluate_partition_details(
-                profile, stages, TOPO_A, vectorize=vectorize)
-            b = evaluate_partition_details(
-                profile, explicit, TOPO_A, vectorize=vectorize)
+        for evaluate in (evaluate_partition_details, oracle_evaluate_details):
+            a = evaluate(profile, stages, TOPO_A)
+            b = evaluate(profile, explicit, TOPO_A)
             assert a == b
 
     def test_both_engines(self):
@@ -219,11 +217,9 @@ class TestTpPlannerTwins:
     def test_scalar_vectorized_identical_with_tp(self, kwargs):
         profile = analytic_profile("vgg16")
         vec = PipeDreamOptimizer(
-            profile, TOPO_A, tp_degrees=(1, 2), vectorize=True,
-            **kwargs).solve()
-        ref = PipeDreamOptimizer(
-            profile, TOPO_A, tp_degrees=(1, 2), vectorize=False,
-            **kwargs).solve()
+            profile, TOPO_A, tp_degrees=(1, 2), **kwargs).solve()
+        ref = OraclePlanner(
+            profile, TOPO_A, tp_degrees=(1, 2), **kwargs).solve()
         assert_results_identical(vec, ref)
 
     def test_tp_plan_spends_the_physical_worker_budget(self):
@@ -329,7 +325,7 @@ class TestTpSupersetInvariant:
             l.weight_bytes + l.activation_bytes for l in profile.layers
         )
         limit = max(1.0, limit_scale * model_bytes)
-        auto_opt = PipeDreamOptimizer(
+        auto_opt = OraclePlanner(
             profile, topo, memory_limit_bytes=limit, recompute="auto",
             tp_degrees=(1, 2),
         )
@@ -528,10 +524,8 @@ class TestTpEvaluatorTwins:
     def test_vectorize_settings_identical(self, model):
         profile = analytic_profile(model)
         stages = self._tp_stages(profile)
-        vec = evaluate_partition_details(
-            profile, stages, TOPO_A, vectorize=True)
-        ref = evaluate_partition_details(
-            profile, stages, TOPO_A, vectorize=False)
+        vec = evaluate_partition_details(profile, stages, TOPO_A)
+        ref = oracle_evaluate_details(profile, stages, TOPO_A)
         assert vec == ref
 
     def test_recompute_and_tp_compose(self):
@@ -539,13 +533,10 @@ class TestTpEvaluatorTwins:
         stages = self._tp_stages(profile)
         flagged = [Stage(s.start, s.stop, s.replicas, recompute=True,
                          tp_degree=s.tp_degree) for s in stages]
-        vec = evaluate_partition_details(
-            profile, flagged, TOPO_A, vectorize=True)
-        ref = evaluate_partition_details(
-            profile, flagged, TOPO_A, vectorize=False)
+        vec = evaluate_partition_details(profile, flagged, TOPO_A)
+        ref = oracle_evaluate_details(profile, flagged, TOPO_A)
         assert vec == ref
         # Checkpointing never raises a sharded stage's footprint either.
-        plain = evaluate_partition_details(
-            profile, stages, TOPO_A, vectorize=True)
+        plain = evaluate_partition_details(profile, stages, TOPO_A)
         assert all(f <= p for f, p in
                    zip(vec.memory_bytes, plain.memory_bytes))
