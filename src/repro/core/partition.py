@@ -319,13 +319,12 @@ class PipeDreamOptimizer:
             simulator admits (bound-admitted ⊇ refined-admitted ⊇
             footprint-feasible).
         context: optional :class:`SolverContext` built over the same
-            profile.  When given, every memoized intermediate (level
-            tables, bound matrices, refined comm tables, suffix-DP rows)
-            is read from and written to the shared context instead of
-            per-instance dicts, so a fresh optimizer answering a query
-            that differs from earlier ones only in worker count or memory
-            cap is warm-started.  Results are bitwise identical to a cold
-            solve.
+            profile.  Every memoized intermediate (level tables, bound
+            matrices, refined comm tables, suffix-DP rows) is read from
+            and written to it, so a fresh optimizer answering a query that
+            differs from earlier ones only in worker count or memory cap
+            is warm-started.  Without one the optimizer builds a private
+            context.  Results are bitwise identical to a cold solve.
         bucket_bytes: gradient-fusion granularity.  ``None`` (default)
             prices a replicated stage's streamable sync as one payload;
             a positive value fuses gradients into buckets of at most this
@@ -408,14 +407,16 @@ class PipeDreamOptimizer:
                 "bucketing of sharded gradients is not modeled"
             )
         self._bucket_matrix_cache = None
-        if context is not None and not context.matches(profile):
+        if context and not context.matches(profile):
             raise ValueError(
                 "SolverContext was built for a different profile "
                 f"({context.profile.model_name!r}, digest "
                 f"{context.profile.digest()[:12]}...); warm-started tables "
                 "would be wrong for this one"
             )
-        self.context = context
+        #: Without a caller-supplied context the optimizer memoizes into a
+        #: private one, so every solve reads and writes one set of caches.
+        self.context = context or SolverContext(profile)
         # The one shared memory formula (imported at call time because
         # repro.sim.memory imports Stage/RECURRENT_KINDS from this module).
         from repro.sim.memory import stage_memory_cost
@@ -441,15 +442,6 @@ class PipeDreamOptimizer:
         # context (tests/test_solver_context.py pins both directions).
         if self._tp_enabled:
             self._cache_ns = self._cache_ns + (("tp", self._tp_options),)
-        #: level-table memo for the level DP, keyed by the namespace
-        #: plus the (count, bandwidth, allreduce_bandwidth) tuple of every
-        #: level up to and including the one the table belongs to.  Subset
-        #: topologies used by worker-count sweeps share inner levels, so
-        #: their tables are computed once per optimizer instance — or once
-        #: per *context* when one is shared.
-        self._level_cache: Dict[tuple, tuple] = (
-            context.level_tables if context is not None else {}
-        )
         self._n = len(profile)
         # Profiles are recorded on the reference device; slower clusters
         # (compute_scale < 1) stretch compute relative to communication, so
@@ -458,63 +450,33 @@ class PipeDreamOptimizer:
         if topology.compute_scale != 1.0:
             profile = profile.scaled(1.0 / topology.compute_scale)
         self._device_profile = profile
-        # Prefix sums for O(1) range queries.  Recurrent (BPTT-accumulated)
-        # weights are tracked separately: their gradients only materialize
-        # at the end of a backward pass, so their synchronization cannot be
-        # overlapped and is charged additively (see RECURRENT_KINDS).
-        self._prefix_time = [0.0]
-        self._prefix_weights = [0.0]
-        self._prefix_recurrent = [0.0]
-        self._prefix_acts = [0.0]
-        self._prefix_backward = [0.0]
-        for layer in profile:
-            self._prefix_time.append(self._prefix_time[-1] + layer.compute_time)
-            self._prefix_weights.append(self._prefix_weights[-1] + layer.weight_bytes)
-            recurrent = layer.weight_bytes if layer.kind in RECURRENT_KINDS else 0
-            self._prefix_recurrent.append(self._prefix_recurrent[-1] + recurrent)
-            self._prefix_acts.append(self._prefix_acts[-1] + layer.activation_bytes)
-            self._prefix_backward.append(self._prefix_backward[-1] + layer.backward)
-        if self._tp_enabled:
-            # Shardable-share prefix sums (device-adjusted, like the ones
-            # above) — what a tp degree divides; the complement stays
-            # replicated across the tp group.
-            self._prefix_shard_time = [0.0]
-            self._prefix_shard_weights = [0.0]
-            self._prefix_shard_acts = [0.0]
-            self._prefix_shard_backward = [0.0]
-            for layer in profile:
-                shardable = layer.kind in SHARDABLE_KINDS
-                self._prefix_shard_time.append(
-                    self._prefix_shard_time[-1]
-                    + (layer.compute_time if shardable else 0.0))
-                self._prefix_shard_weights.append(
-                    self._prefix_shard_weights[-1]
-                    + (layer.weight_bytes if shardable else 0))
-                self._prefix_shard_acts.append(
-                    self._prefix_shard_acts[-1]
-                    + (layer.activation_bytes if shardable else 0))
-                self._prefix_shard_backward.append(
-                    self._prefix_shard_backward[-1]
-                    + (layer.backward if shardable else 0.0))
+        #: O(1) range queries over the device-adjusted profile: the same
+        #: digest-keyed prefix tables the plan evaluator reads.
+        self._tables = _eval_tables(profile)
 
     # ------------------------------------------------------------------
     # Range helpers
     # ------------------------------------------------------------------
     def _weights(self, i: int, j: int) -> float:
-        return self._prefix_weights[j + 1] - self._prefix_weights[i]
+        pw = self._tables.prefix_weights
+        return pw[j + 1] - pw[i]
 
     def _recurrent_weights(self, i: int, j: int) -> float:
-        return self._prefix_recurrent[j + 1] - self._prefix_recurrent[i]
+        pr = self._tables.prefix_recurrent
+        return pr[j + 1] - pr[i]
 
     def _activation_sum(self, i: int, j: int) -> float:
         """Summed activation stash of layers i..j inclusive (one minibatch)."""
-        return self._prefix_acts[j + 1] - self._prefix_acts[i]
+        pa = self._tables.prefix_acts
+        return pa[j + 1] - pa[i]
 
-    def _shard_weights(self, i: int, j: int) -> float:
-        return self._prefix_shard_weights[j + 1] - self._prefix_shard_weights[i]
+    def _shard_weights(self, i: int, j: int) -> int:
+        psw = self._tables.prefix_shard_weights
+        return psw[j + 1] - psw[i]
 
-    def _shard_acts(self, i: int, j: int) -> float:
-        return self._prefix_shard_acts[j + 1] - self._prefix_shard_acts[i]
+    def _shard_acts(self, i: int, j: int) -> int:
+        psa = self._tables.prefix_shard_acts
+        return psa[j + 1] - psa[i]
 
     def _bucket_matrix(self):
         """(n, n) streamable collectives per round of span ``i..j``.
@@ -572,12 +534,11 @@ class PipeDreamOptimizer:
         ctx_key: tuple = ("recompute",) if self._recompute_auto else ()
         if self._tp_enabled:
             ctx_key = ctx_key + ("tp", self._tp_options[-1])
-        if self.context is not None:
-            cached = self.context.bound_matrices.get(ctx_key)
-            if cached is not None:
-                self.context._bump("bound_hits")
-                self._bound_cache = cached
-                return cached
+        cached = self.context.bound_matrices.get(ctx_key)
+        if cached is not None:
+            self.context._bump("bound_hits")
+            self._bound_cache = cached
+            return cached
         n = self._n
         kernel = self._stage_memory_cost
         bound = [[math.inf] * n for _ in range(n)]
@@ -630,9 +591,8 @@ class PipeDreamOptimizer:
                 running = max(running, cost_at(j, 2))
                 bound[i][j] = running
         self._bound_cache = bound
-        if self.context is not None:
-            self.context._bump("bound_misses")
-            self.context.bound_matrices[ctx_key] = bound
+        self.context._bump("bound_misses")
+        self.context.bound_matrices[ctx_key] = bound
         return bound
 
     # ------------------------------------------------------------------
@@ -664,8 +624,7 @@ class PipeDreamOptimizer:
         the footprint rejects are discarded.
         """
         start_time = time.perf_counter()
-        if self.context is not None:
-            self.context._bump("solves")
+        self.context._bump("solves")
         topology = self.topology
         if num_workers is not None and num_workers != topology.total_workers:
             topology = topology.subset(num_workers)
@@ -784,19 +743,17 @@ class PipeDreamOptimizer:
             for lv in topology.levels
         )
         cache_key = self._cache_ns + ("refined", sig)
-        cached = self._level_cache.get(cache_key)
+        cached = self.context.level_tables.get(cache_key)
         if cached is not None:
-            if self.context is not None:
-                self.context._bump("level_hits")
+            self.context._bump("level_hits")
             return cached[0]
         coeffs, link_bw, lats = self._comm_tables_for(topology, sig)
         tp_tables = (
             self._tp_tables_for(topology, sig) if self._tp_enabled else None
         )
         stages = self._suffix_dp(topology, coeffs, link_bw, lats, tp_tables)
-        self._level_cache[cache_key] = (stages,)
-        if self.context is not None:
-            self.context._bump("level_misses")
+        self.context.level_tables[cache_key] = (stages,)
+        self.context._bump("level_misses")
         return stages
 
     def _comm_tables_for(self, topology: Topology, sig: tuple):
@@ -807,8 +764,6 @@ class PipeDreamOptimizer:
         and option mix — the cheap-but-measurable part of re-planning the
         same cluster under a new constraint.
         """
-        if self.context is None:
-            return self._refined_comm_tables(topology)
         cached = self.context.comm_tables.get(sig)
         if cached is not None:
             self.context._bump("comm_hits")
@@ -824,8 +779,6 @@ class PipeDreamOptimizer:
         Keyed separately from the two-axis comm tables (the ``"tp"`` tag
         plus the degree menu) so tp and tp-free solves can never hand each
         other tables of the wrong shape."""
-        if self.context is None:
-            return self._refined_tp_tables(topology)
         key = ("tp", sig, self._tp_options)
         cached = self.context.comm_tables.get(key)
         if cached is not None:
@@ -954,8 +907,8 @@ class PipeDreamOptimizer:
         ``coeffs[m][mp]`` is the hierarchical ring all_reduce
         seconds-per-byte of the contiguous group ``[W-m, W-m+mp-1]``,
         accumulated level by level exactly as
-        :func:`repro.sim.network.allreduce_time` (and the numpy evaluator)
-        does: at each level the concurrent per-parent rings
+        :func:`repro.sim.network.allreduce_time` (and the plan evaluator's
+        walk) does: at each level the concurrent per-parent rings
         finish with the *largest* one, so the coefficient uses the
         closed-form max per-parent sibling count of the contiguous range
         (``round(prev_span / span_above)`` — the rounded mean — used to
@@ -1104,41 +1057,28 @@ class PipeDreamOptimizer:
         W = topology.total_workers
         limit = self.memory_limit_bytes
         inf = math.inf
-        pt = np.asarray(self._prefix_time)
-        pw = np.asarray(self._prefix_weights)
-        pr = np.asarray(self._prefix_recurrent)
-        pa = np.asarray(self._prefix_acts)
+        tables = self._tables
         rows = np.arange(n)
         valid = rows[:, None] <= rows[None, :]  # j <= k
-        compute = pt[None, 1:] - pt[:n, None]
-        Wt = pw[None, 1:] - pw[:n, None]
-        D = pr[None, 1:] - pr[:n, None]
-        At = pa[None, 1:] - pa[:n, None]
-        acts = np.asarray(
-            [self.profile.activation_bytes(k) for k in range(n)]
-        )
+        compute = _span_table(tables.prefix_time)
+        Wt = _span_table(tables.prefix_weights)
+        D = _span_table(tables.prefix_recurrent)
+        At = _span_table(tables.prefix_acts)
+        acts = np.asarray(tables.acts)
         recompute_auto = self._recompute_auto
         if recompute_auto or tp_tables:
-            pb = np.asarray(self._prefix_backward)
-            Bt = pb[None, 1:] - pb[:n, None]
-            # Boundary stash per leading layer j: pa[j] - pa[j-1] (0 at
-            # the input stage).
-            bacts = np.zeros(n)
-            bacts[1:] = pa[1:n] - pa[: n - 1]
+            Bt = _span_table(tables.prefix_backward)
+            bacts = _boundary_acts(tables)
         if recompute_auto:
             # Checkpointed stage time: one extra forward (compute minus
             # backward).
             compute_r = compute + (compute - Bt)
         if tp_tables:
             # Shardable-share range tables.
-            psw = np.asarray(self._prefix_shard_weights)
-            psa = np.asarray(self._prefix_shard_acts)
-            pst = np.asarray(self._prefix_shard_time)
-            psb = np.asarray(self._prefix_shard_backward)
-            SWt = psw[None, 1:] - psw[:n, None]
-            SAt = psa[None, 1:] - psa[:n, None]
-            STt = pst[None, 1:] - pst[:n, None]
-            SBt = psb[None, 1:] - psb[:n, None]
+            SWt = _span_table(tables.prefix_shard_weights)
+            SAt = _span_table(tables.prefix_shard_acts)
+            STt = _span_table(tables.prefix_shard_time)
+            SBt = _span_table(tables.prefix_shard_backward)
         R = np.full((W + 1, n + 1), inf)
         R[0, n] = 0.0
         ptr_k = np.full((W + 1, n), -1, dtype=np.int64)
@@ -1146,23 +1086,18 @@ class PipeDreamOptimizer:
         ptr_tp = (
             np.ones((W + 1, n), dtype=np.int64) if tp_tables else None
         )
-        row_cache = None if self.context is None else self.context.refined_rows
-        row_keys = (
-            self._refined_row_keys(W, coeffs, link_bw, lats, tp_tables)
-            if row_cache is not None
-            else None
-        )
+        row_cache = self.context.refined_rows
+        row_keys = self._refined_row_keys(W, coeffs, link_bw, lats, tp_tables)
         for m in range(1, W + 1):
-            if row_cache is not None:
-                hit = row_cache.get(row_keys[m])
-                if hit is not None:
-                    R[m] = hit[0]
-                    ptr_k[m] = hit[1]
-                    ptr_mp[m] = hit[2]
-                    if ptr_tp is not None:
-                        ptr_tp[m] = hit[3]
-                    self.context._bump("row_hits")
-                    continue
+            hit = row_cache.get(row_keys[m])
+            if hit is not None:
+                R[m] = hit[0]
+                ptr_k[m] = hit[1]
+                ptr_mp[m] = hit[2]
+                if ptr_tp is not None:
+                    ptr_tp[m] = hit[3]
+                self.context._bump("row_hits")
+                continue
             tp_sel = (
                 np.empty((m, n, n), dtype=np.int64) if tp_tables else None
             )
@@ -1257,17 +1192,16 @@ class PipeDreamOptimizer:
                 tself = tp_sel.transpose(2, 0, 1).reshape(n * m, n)
                 tsel_best = np.take_along_axis(tself, flat[None], axis=0)[0]
                 ptr_tp[m] = np.where(finite, tsel_best, 1)
-            if row_cache is not None:
-                if ptr_tp is not None:
-                    row_cache[row_keys[m]] = (
-                        R[m].copy(), ptr_k[m].copy(), ptr_mp[m].copy(),
-                        ptr_tp[m].copy(),
-                    )
-                else:
-                    row_cache[row_keys[m]] = (
-                        R[m].copy(), ptr_k[m].copy(), ptr_mp[m].copy()
-                    )
-                self.context._bump("row_misses")
+            if ptr_tp is not None:
+                row_cache[row_keys[m]] = (
+                    R[m].copy(), ptr_k[m].copy(), ptr_mp[m].copy(),
+                    ptr_tp[m].copy(),
+                )
+            else:
+                row_cache[row_keys[m]] = (
+                    R[m].copy(), ptr_k[m].copy(), ptr_mp[m].copy()
+                )
+            self.context._bump("row_misses")
         if not np.isfinite(R[W, 0]):
             return None
         return self._reconstruct_refined(ptr_k, ptr_mp, W, ptr_tp)
@@ -1346,9 +1280,6 @@ class PipeDreamOptimizer:
         """
         n = self._n
         inf = math.inf
-        pt = np.asarray(self._prefix_time)
-        pw = np.asarray(self._prefix_weights)
-        pr = np.asarray(self._prefix_recurrent)
         rows = np.arange(n)
         valid = rows[:, None] <= rows[None, :]  # i <= j
         if self.memory_limit_bytes is not None:
@@ -1373,10 +1304,9 @@ class PipeDreamOptimizer:
             # flag) into A, so entries are only valid under the exact
             # solver options that built them.
             cache_key = self._cache_ns + ("level", tuple(key_parts))
-            cached = self._level_cache.get(cache_key)
+            cached = self.context.level_tables.get(cache_key)
             if cached is not None:
-                if self.context is not None:
-                    self.context._bump("level_hits")
+                self.context._bump("level_hits")
                 tables.append(cached)
                 prev_capacity = mk
                 prev_workers *= mk
@@ -1384,15 +1314,15 @@ class PipeDreamOptimizer:
 
             # ----- T^k(i→j, m) tables ---------------------------------
             if k == 1:
-                compute = pt[None, 1:] - pt[:n, None]
+                compute = _span_table(self._tables.prefix_time)
             else:
                 compute = tables[k - 2][0][prev_capacity].copy()
             compute = np.where(feasible, compute, inf)
             T = np.full((mk + 1, n, n), inf)
             T[1] = compute / 1  # compute / m at m = 1
             if mk > 1 and self.allow_replication:
-                W = pw[None, 1:] - pw[:n, None]
-                D = pr[None, 1:] - pr[:n, None]
+                W = _span_table(self._tables.prefix_weights)
+                D = _span_table(self._tables.prefix_recurrent)
                 WD = W - D
                 arbw = level.allreduce_bandwidth
                 alpha = level.allreduce_latency
@@ -1472,9 +1402,8 @@ class PipeDreamOptimizer:
                 (A, ptr_s, ptr_mp, tchoice) if tchoice is not None
                 else (A, ptr_s, ptr_mp)
             )
-            self._level_cache[cache_key] = entry
-            if self.context is not None:
-                self.context._bump("level_misses")
+            self.context.level_tables[cache_key] = entry
+            self.context._bump("level_misses")
             tables.append(entry)
             prev_capacity = mk
             prev_workers *= mk
@@ -1544,24 +1473,16 @@ class PipeDreamOptimizer:
         r = m // t
         if r > 1 and not self.allow_replication:
             return None
-        n = self._n
         inf = math.inf
         arbw = level.allreduce_bandwidth
         alpha = level.allreduce_latency
-        pw = np.asarray(self._prefix_weights)
-        pr = np.asarray(self._prefix_recurrent)
-        pa = np.asarray(self._prefix_acts)
-        psw = np.asarray(self._prefix_shard_weights)
-        pst = np.asarray(self._prefix_shard_time)
-        Wt = pw[None, 1:] - pw[:n, None]
-        D = pr[None, 1:] - pr[:n, None]
-        SW = psw[None, 1:] - psw[:n, None]
-        ST = pst[None, 1:] - pst[:n, None]
-        acts = np.asarray(
-            [self.profile.activation_bytes(j) for j in range(n)]
-        )
-        bacts = np.zeros(n)
-        bacts[1:] = pa[1:n] - pa[: n - 1]
+        tables = self._tables
+        Wt = _span_table(tables.prefix_weights)
+        D = _span_table(tables.prefix_recurrent)
+        SW = _span_table(tables.prefix_shard_weights)
+        ST = _span_table(tables.prefix_shard_time)
+        acts = np.asarray(tables.acts)
+        bacts = _boundary_acts(tables)
         stage_compute = compute - ST + ST / t
         ring_t = 2.0 * (t - 1) / t / arbw
         out_term = acts * ring_t
@@ -1599,31 +1520,21 @@ def evaluate_partition(
 ) -> float:
     """Bottleneck time per minibatch of an arbitrary stage list.
 
-    Applies the same cost model the DP uses, with a single (flat) link
-    bandwidth: per-stage effective time is the max of the amortized compute
-    and the once-per-round ring all_reduce share; stage boundaries pay a
-    2 a_s / B point-to-point transfer per minibatch.
+    Prices the plan with the planner's evaluator on a flat cluster: one
+    level of ``sum(stage.workers)`` workers linked at ``bandwidth``, whose
+    collectives run at ``allreduce_efficiency`` of it.  Per-stage effective
+    time is the max of the amortized compute and the once-per-round ring
+    all_reduce share; stage boundaries pay a 2 a_s / B point-to-point
+    transfer per minibatch.
     """
     _check_stages(profile, stages)
-    worst = 0.0
-    for idx, stage in enumerate(stages):
-        compute = profile.compute_time(stage.start, stage.stop)
-        weights = profile.weight_bytes(stage.start, stage.stop)
-        r = stage.replicas
-        cost = compute / r
-        if r > 1:
-            deferred = sum(
-                l.weight_bytes
-                for l in profile.layers[stage.start : stage.stop]
-                if l.kind in RECURRENT_KINDS
-            )
-            ring = 2.0 * (r - 1) / r / (bandwidth * allreduce_efficiency)
-            cost = max(cost, ring * (weights - deferred) / r) + ring * deferred / r
-        worst = max(worst, cost)
-        if idx + 1 < len(stages):
-            boundary = 2.0 * profile.activation_bytes(stage.stop - 1) / bandwidth
-            worst = max(worst, boundary)
-    return worst
+    level = TopologyLevel(
+        sum(stage.workers for stage in stages), bandwidth,
+        allreduce_efficiency,
+    )
+    return _evaluate_details_walk(
+        profile, stages, Topology("flat", [level])
+    ).bottleneck_time
 
 
 def communication_bytes_per_minibatch(
@@ -1685,52 +1596,72 @@ def _check_stages(profile: ModelProfile, stages: Sequence[Stage]) -> None:
 
 
 class _EvalTables:
-    """Prefix-sum tables shared by the topology evaluators.
+    """Prefix sums over a profile's layers: the one layer-range table.
 
-    Built once per :class:`ModelProfile` (cached in a bounded registry)
-    so sweep-scale callers stop re-summing layer lists per plan.  Prefix
-    sums are accumulated sequentially, so the numpy path and the placement
-    walk read identical floats:
-    byte counts are integers well below 2**53 and therefore exact in
-    float64, and compute-time range sums become the same prefix difference
-    the DP itself uses.
+    The plan evaluator, the optimizer's DPs (over the device-adjusted
+    profile), the simulator's tensor-parallel pricing and the
+    :mod:`repro.core.sharding` helpers all read their range sums from
+    here.  Tables are keyed by the profile's content digest in a bounded
+    registry, so equal-valued profiles share one table.  Prefix sums are
+    accumulated sequentially, so every consumer subtracts the same
+    floats; byte counts are integers well below 2**53 and therefore exact
+    in float64.  The shardable byte sums stay python ints because the
+    sharding helpers (and the memory footprints built on them) return
+    ints.  ``acts`` holds each layer's output activation bytes.
     """
 
-    __slots__ = ("prefix_time", "prefix_weights", "prefix_recurrent", "acts",
-                 "prefix_backward",
+    __slots__ = ("prefix_time", "prefix_weights", "prefix_recurrent",
+                 "prefix_acts", "prefix_backward", "acts",
                  "prefix_shard_time", "prefix_shard_weights",
-                 "prefix_shard_backward",
-                 "np_time", "np_weights", "np_recurrent", "np_acts",
-                 "np_backward")
+                 "prefix_shard_acts", "prefix_shard_forward",
+                 "prefix_shard_backward")
 
     def __init__(self, profile: ModelProfile):
-        pt, pw, pr, pb = [0.0], [0.0], [0.0], [0.0]
-        pst, psw, psb = [0.0], [0.0], [0.0]
+        pt, pw, pr, pa, pb = [0.0], [0.0], [0.0], [0.0], [0.0]
+        pst, psf, psb = [0.0], [0.0], [0.0]
+        psw, psa = [0], [0]
         acts: List[float] = []
         for layer in profile:
             pt.append(pt[-1] + layer.compute_time)
             pw.append(pw[-1] + layer.weight_bytes)
             recurrent = layer.weight_bytes if layer.kind in RECURRENT_KINDS else 0
             pr.append(pr[-1] + recurrent)
+            pa.append(pa[-1] + layer.activation_bytes)
             pb.append(pb[-1] + layer.backward)
             acts.append(float(layer.activation_bytes))
             shardable = layer.kind in SHARDABLE_KINDS
             pst.append(pst[-1] + (layer.compute_time if shardable else 0.0))
-            psw.append(psw[-1] + (layer.weight_bytes if shardable else 0))
+            psf.append(psf[-1] + (layer.forward if shardable else 0.0))
             psb.append(psb[-1] + (layer.backward if shardable else 0.0))
+            psw.append(psw[-1] + (layer.weight_bytes if shardable else 0))
+            psa.append(psa[-1] + (layer.activation_bytes if shardable else 0))
         self.prefix_time = pt
         self.prefix_weights = pw
         self.prefix_recurrent = pr
+        self.prefix_acts = pa
         self.prefix_backward = pb
-        self.prefix_shard_time = pst
-        self.prefix_shard_weights = psw
-        self.prefix_shard_backward = psb
         self.acts = acts
-        self.np_time = np.asarray(pt)
-        self.np_weights = np.asarray(pw)
-        self.np_recurrent = np.asarray(pr)
-        self.np_acts = np.asarray(acts)
-        self.np_backward = np.asarray(pb)
+        self.prefix_shard_time = pst
+        self.prefix_shard_forward = psf
+        self.prefix_shard_backward = psb
+        self.prefix_shard_weights = psw
+        self.prefix_shard_acts = psa
+
+
+def _span_table(prefix: Sequence[float]) -> "np.ndarray":
+    """(n, n) range sums ``[i, j]`` (layers i..j inclusive) of a length
+    ``n + 1`` prefix list; entries with ``i > j`` are meaningless."""
+    p = np.asarray(prefix)
+    return p[None, 1:] - p[:-1, None]
+
+
+def _boundary_acts(tables: _EvalTables) -> "np.ndarray":
+    """Input-boundary activation bytes of a stage starting at each layer
+    (0 at the input stage): what a checkpointing stage stashes."""
+    pa = np.asarray(tables.prefix_acts)
+    bacts = np.zeros(len(pa) - 1)
+    bacts[1:] = pa[1:-1] - pa[:-2]
+    return bacts
 
 
 #: Bounded, lock-guarded registry of per-profile evaluator tables, keyed
@@ -1811,13 +1742,9 @@ def evaluate_partition_details(
 ) -> PartitionEvaluation:
     """Like :func:`evaluate_partition_on_topology` with the full breakdown.
 
-    Plans without tensor-parallel stages are priced all at once from the
-    cached prefix tables with numpy arithmetic
-    (:func:`_evaluate_details_numpy`).  Tensor-parallel plans and bucketed
-    pricing take the stage-by-stage placement walk
-    (:func:`_evaluate_details_walk`), which on every other plan evaluates
-    the same float expressions — the test suite holds the two bitwise
-    equal (``tests/test_partition_evaluator_equiv.py``).
+    Every plan is priced by the stage-by-stage placement walk
+    (:func:`_evaluate_details_walk`); ``tests/partition_oracle.py`` holds
+    it bitwise equal to an independent closed-form evaluator.
 
     ``bucket_bytes`` switches a replicated stage's sync pricing from the
     single-payload model to the bucketed wait-free walk of
@@ -1833,17 +1760,7 @@ def evaluate_partition_details(
     # Imported lazily: repro.sim.memory imports Stage from this module.
     from repro.sim.memory import pipeline_memory_footprint
 
-    tables = _eval_tables(profile)
-    tp_active = any(s.tp_degree > 1 for s in stages)
-    if tp_active and bucket_bytes is not None:
-        raise ValueError(
-            "bucket_bytes cannot be combined with tensor-parallel stages")
-    if tp_active or bucket_bytes is not None:
-        result = _evaluate_details_walk(
-            profile, tables, stages, topology, bucket_bytes
-        )
-    else:
-        result = _evaluate_details_numpy(tables, stages, topology)
+    result = _evaluate_details_walk(profile, stages, topology, bucket_bytes)
     return replace(
         result,
         memory_bytes=tuple(pipeline_memory_footprint(profile, stages)),
@@ -1869,120 +1786,14 @@ def evaluate_partition_on_topology(
     ``bucket_bytes`` opts into the bucketed wait-free sync model (see
     :func:`evaluate_partition_details`).
     """
-    return evaluate_partition_details(
-        profile, stages, topology, bucket_bytes=bucket_bytes
+    _check_stages(profile, stages)
+    return _evaluate_details_walk(
+        profile, stages, topology, bucket_bytes
     ).bottleneck_time
-
-
-def _evaluate_details_numpy(
-    tables: _EvalTables, stages: Sequence[Stage], topology: Topology
-) -> PartitionEvaluation:
-    """Numpy path: all stages at once from the cached prefix tables.
-
-    Worker groups are contiguous ranges (stage-major packing), so the
-    placement queries reduce to integer arithmetic: a contiguous group
-    ``[first, last]`` spans ``last//W_k - first//W_k + 1`` level-k
-    components (``W_k`` = workers per level-k component), and the boundary
-    link between adjacent groups crosses the outermost level whose
-    component ids differ between workers ``dst-1`` and ``dst``.  The float
-    expressions mirror :func:`repro.sim.network.allreduce_time` and the
-    placement walk exactly, term for term, so results match bitwise.
-    """
-    levels = topology.levels
-    scale = topology.compute_scale
-    S = len(stages)
-    starts = np.fromiter((s.start for s in stages), dtype=np.int64, count=S)
-    stops = np.fromiter((s.stop for s in stages), dtype=np.int64, count=S)
-    reps = np.fromiter((s.replicas for s in stages), dtype=np.int64, count=S)
-
-    compute = (tables.np_time[stops] - tables.np_time[starts]) / scale
-    if any(s.recompute for s in stages):
-        # Same float expression as the placement walk, selected
-        # elementwise; the guard keeps recompute-free plans on the
-        # untouched arrays.
-        bwd = (tables.np_backward[stops] - tables.np_backward[starts]) / scale
-        rec = np.fromiter((s.recompute for s in stages), dtype=bool, count=S)
-        compute = np.where(rec, compute + (compute - bwd), compute)
-    cost = compute / reps
-    exposed = np.zeros(S)
-    hidden = np.zeros(S)
-    if bool((reps > 1).any()):
-        weights = tables.np_weights[stops] - tables.np_weights[starts]
-        deferred = tables.np_recurrent[stops] - tables.np_recurrent[starts]
-        gfirst = np.cumsum(reps) - reps
-        glast = gfirst + reps - 1
-        stream = np.zeros(S)
-        blocked = np.zeros(S)
-        per_component = 1
-        for k, level in enumerate(levels):
-            count_k = level.count
-            u_first = gfirst // per_component
-            u_last = glast // per_component
-            p_first = u_first // count_k
-            p_last = u_last // count_k
-            # Largest per-parent sibling group of the contiguous range
-            # (the closed form of Placement.ring_sizes): one parent → the
-            # whole span; a parent strictly inside the range is full;
-            # otherwise the larger of the two edge fragments.
-            group = np.where(
-                p_first == p_last,
-                u_last - u_first + 1,
-                np.where(
-                    p_last - p_first >= 2,
-                    count_k,
-                    np.maximum((p_first + 1) * count_k - u_first,
-                               u_last - p_last * count_k + 1),
-                ),
-            )
-            ring = 2.0 * (group - 1) / group
-            arbw = level.allreduce_bandwidth
-            stream = stream + ring * (weights - deferred) / arbw
-            blocked = blocked + ring * deferred / arbw
-            alpha = level.allreduce_latency
-            if alpha > 0.0:
-                # Per-collective setup cost: paid once per level a ring
-                # actually runs on, only when there is a payload (mirrors
-                # allreduce_time's early return on num_bytes <= 0).
-                lat = np.where(group > 1, alpha, 0.0)
-                stream = stream + np.where(weights - deferred > 0, lat, 0.0)
-                blocked = blocked + np.where(deferred > 0, lat, 0.0)
-            per_component *= count_k
-        cost = np.where(
-            reps > 1, np.maximum(cost, stream / reps) + blocked / reps, cost
-        )
-        exposed = np.where(reps > 1, cost - compute / reps, 0.0)
-        hidden = np.where(
-            reps > 1, stream / reps + blocked / reps - exposed, 0.0
-        )
-    stage_times = tuple(cost.tolist())
-
-    boundary_times: Tuple[float, ...] = ()
-    if S > 1:
-        dst = (np.cumsum(reps) - reps)[1:]  # first worker of each next group
-        src = dst - 1
-        crossing = np.zeros(S - 1, dtype=np.int64)
-        per_component = 1
-        for k, level in enumerate(levels):
-            crossing = np.where(
-                src // per_component != dst // per_component, k, crossing
-            )
-            per_component *= level.count
-        bw = np.asarray([level.bandwidth for level in levels])[crossing]
-        boundary = 2.0 * tables.np_acts[stops[:-1] - 1] / bw
-        boundary_times = tuple(boundary.tolist())
-        worst = max(max(stage_times), max(boundary_times))
-    else:
-        worst = max(stage_times)
-    return PartitionEvaluation(
-        worst, stage_times, boundary_times,
-        sync_exposed=tuple(exposed.tolist()),
-        sync_hidden=tuple(hidden.tolist()),
-    )
 
 
 def _evaluate_details_walk(
     profile: ModelProfile,
-    tables: _EvalTables,
     stages: Sequence[Stage],
     topology: Topology,
     bucket_bytes: Optional[float] = None,
@@ -2008,11 +1819,17 @@ def _evaluate_details_walk(
     sync is the per-bucket walk of :func:`_bucketed_stage_sync` instead of
     the single-payload ``max(compute, stream) + blocked`` model.
     """
-    from repro.sim.network import Placement, allreduce_time
+    from repro.sim.network import (
+        Placement, allreduce_time, tp_boundary_allreduce_times,
+    )
 
     if bucket_bytes is not None:
+        if any(s.tp_degree > 1 for s in stages):
+            raise ValueError(
+                "bucket_bytes cannot be combined with tensor-parallel stages")
         from repro.comm.bucketing import gradient_buckets
 
+    tables = _eval_tables(profile)
     placement = Placement(topology)
     scale = topology.compute_scale
     pt, pw, pr = tables.prefix_time, tables.prefix_weights, tables.prefix_recurrent
@@ -2049,22 +1866,18 @@ def _evaluate_details_walk(
             forward_extra = compute - backward
             compute = compute + forward_extra
             backward = backward + forward_extra
+        rep_group = [first + q * t for q in range(r)]
         out_term = in_term = 0.0
         if t > 1:
-            out_act = acts[stage.stop - 1]
-            in_act = acts[stage.start - 1] if stage.start > 0 else 0.0
-            for q in range(r):
-                group = list(range(first + q * t, first + (q + 1) * t))
-                out_term = max(out_term,
-                               allreduce_time(placement, group, out_act))
-                in_term = max(in_term,
-                              allreduce_time(placement, group, in_act))
+            out_term, in_term = tp_boundary_allreduce_times(
+                placement, rep_group, t, acts[stage.stop - 1],
+                acts[stage.start - 1] if stage.start > 0 else 0.0,
+            )
         stage_total = compute + (out_term + in_term)
         cost = stage_total / r
         exposed = hidden = 0.0
         if r > 1:
             deferred = pr[stage.stop] - pr[stage.start]
-            rep_group = [first + q * t for q in range(r)]
             if bucket_bytes is not None:
                 buckets = gradient_buckets(
                     profile, stage.start, stage.stop, bucket_bytes

@@ -26,15 +26,15 @@ import cycle since ``core/partition.py`` consumes this module.
 Everything downstream — the shared memory kernel's shard divisor, the
 planner's ``(replicas, tp_degree)`` cell pricing, the simulator's
 intra-stage collectives — derives its shardable weight/activation/compute
-splits from the range helpers below, so the four consumers can never
-disagree on *what* shards, only on the degree they plug in.
+splits from one digest-keyed layer-range table (the planner's
+``_EvalTables``, which the range helpers below also read), so the four
+consumers can never disagree on *what* shards, only on the degree they
+plug in.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.profile import ModelProfile
 
@@ -73,86 +73,30 @@ def validate_tp_degrees(tp_degrees: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sorted(degrees))
 
 
-class ShardingTables:
-    """Prefix sums of the shardable share of a profile.
+def _tables(profile: ModelProfile):
+    """The profile's shared layer-range table (digest-keyed; imported at
+    call time because ``core/partition.py`` imports this module)."""
+    from repro.core.partition import _eval_tables
 
-    ``shard_*`` range queries return the portion of a ``[start, stop)``
-    stage that divides by the tp degree; the complement (total minus
-    shardable) stays replicated across the tp group.  Forward/backward
-    compute splits follow :class:`~repro.core.profile.LayerProfile`'s
-    ``forward``/``backward`` properties so the simulator's per-pass
-    sharding agrees with the planner's whole-minibatch sharding.
-    """
-
-    def __init__(self, profile: ModelProfile):
-        n = len(profile.layers)
-        pw = [0] * (n + 1)
-        pa = [0] * (n + 1)
-        pt = [0.0] * (n + 1)
-        pf = [0.0] * (n + 1)
-        for idx, layer in enumerate(profile.layers):
-            shardable = layer.kind in SHARDABLE_KINDS
-            pw[idx + 1] = pw[idx] + (layer.weight_bytes if shardable else 0)
-            pa[idx + 1] = pa[idx] + (layer.activation_bytes if shardable else 0)
-            pt[idx + 1] = pt[idx] + (layer.compute_time if shardable else 0.0)
-            pf[idx + 1] = pf[idx] + (layer.forward if shardable else 0.0)
-        self._prefix_weights = pw
-        self._prefix_acts = pa
-        self._prefix_time = pt
-        self._prefix_forward = pf
-
-    def shard_weight_bytes(self, start: int, stop: int) -> int:
-        return self._prefix_weights[stop] - self._prefix_weights[start]
-
-    def shard_activation_bytes(self, start: int, stop: int) -> int:
-        return self._prefix_acts[stop] - self._prefix_acts[start]
-
-    def shard_compute_time(self, start: int, stop: int) -> float:
-        return self._prefix_time[stop] - self._prefix_time[start]
-
-    def shard_forward_time(self, start: int, stop: int) -> float:
-        return self._prefix_forward[stop] - self._prefix_forward[start]
-
-    def shard_backward_time(self, start: int, stop: int) -> float:
-        return self.shard_compute_time(start, stop) - self.shard_forward_time(start, stop)
-
-
-_TABLES_LOCK = threading.Lock()
-_TABLES_CACHE: "OrderedDict[str, ShardingTables]" = OrderedDict()
-_TABLES_CACHE_SIZE = 64
-
-
-def sharding_tables(profile: ModelProfile) -> ShardingTables:
-    """Digest-keyed, bounded cache of :class:`ShardingTables` (same idiom
-    as the evaluator's range tables)."""
-    key = profile.digest()
-    with _TABLES_LOCK:
-        tables = _TABLES_CACHE.get(key)
-        if tables is not None:
-            _TABLES_CACHE.move_to_end(key)
-            return tables
-    tables = ShardingTables(profile)
-    with _TABLES_LOCK:
-        _TABLES_CACHE[key] = tables
-        _TABLES_CACHE.move_to_end(key)
-        while len(_TABLES_CACHE) > _TABLES_CACHE_SIZE:
-            _TABLES_CACHE.popitem(last=False)
-    return tables
+    return _eval_tables(profile)
 
 
 def shardable_weight_bytes(profile: ModelProfile, start: int, stop: int) -> int:
     """Weight bytes of the shardable layers in stage ``[start, stop)``."""
-    return sharding_tables(profile).shard_weight_bytes(start, stop)
+    psw = _tables(profile).prefix_shard_weights
+    return psw[stop] - psw[start]
 
 
 def shardable_activation_bytes(profile: ModelProfile, start: int, stop: int) -> int:
     """Activation-stash bytes of the shardable layers in ``[start, stop)``."""
-    return sharding_tables(profile).shard_activation_bytes(start, stop)
+    psa = _tables(profile).prefix_shard_acts
+    return psa[stop] - psa[start]
 
 
 def shardable_compute_time(profile: ModelProfile, start: int, stop: int) -> float:
     """Combined fwd+bwd seconds of the shardable layers in ``[start, stop)``."""
-    return sharding_tables(profile).shard_compute_time(start, stop)
+    pst = _tables(profile).prefix_shard_time
+    return pst[stop] - pst[start]
 
 
 def stage_layers_shardable(profile: ModelProfile, start: int, stop: int) -> bool:

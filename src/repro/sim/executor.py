@@ -41,13 +41,15 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.partition import Stage
+from repro.core.partition import Stage, _eval_tables
 from repro.core.profile import ModelProfile
 from repro.core.schedule import B_CODE, F_CODE, U_CODE, Op, Schedule
 from repro.core.topology import Topology
 from repro.sim.faults import FaultSchedule
 from repro.sim.memory import stage_deferred_weight_bytes
-from repro.sim.network import Placement, allreduce_time
+from repro.sim.network import (
+    Placement, allreduce_time, tp_boundary_allreduce_times,
+)
 
 
 @dataclass(slots=True)
@@ -296,23 +298,20 @@ def price_stages(
     # at tp_degree == 1 take no branch, keeping the timeline bitwise
     # identical to the two-axis simulator.
     tp_active = any(stage.tp_degree > 1 for stage in stages)
-    shard_tables = None
     if tp_active:
         if options.bucket_bytes is not None:
             raise ValueError(
                 "bucket_bytes cannot be combined with tensor-parallel "
                 "stages: bucketing of sharded gradients is not modeled")
-        from repro.core.sharding import sharding_tables
-
-        shard_tables = sharding_tables(profile)
+        tables = _eval_tables(profile)
+        pst, psf = tables.prefix_shard_time, tables.prefix_shard_forward
         scale = topology.compute_scale
         for s, stage in enumerate(stages):
             t = stage.tp_degree
             if t > 1:
-                sf = shard_tables.shard_forward_time(
-                    stage.start, stage.stop) / scale
-                sb = shard_tables.shard_backward_time(
-                    stage.start, stage.stop) / scale
+                forward = psf[stage.stop] - psf[stage.start]
+                sf = forward / scale
+                sb = (pst[stage.stop] - pst[stage.start] - forward) / scale
                 fwd_time[s] = fwd_time[s] - sf + sf / t
                 bwd_time[s] = bwd_time[s] - sb + sb / t
     # 2BP backward split (schedules with ``backward_split``): the
@@ -351,16 +350,12 @@ def price_stages(
         for s, stage in enumerate(stages):
             t = stage.tp_degree
             if t > 1:
-                out_act = profile.activation_bytes(stage.stop - 1)
-                in_act = (profile.activation_bytes(stage.start - 1)
-                          if stage.start > 0 else 0)
-                out_term = in_term = 0.0
-                for rep in schedule.stage_workers[s]:
-                    group = list(range(rep, rep + t))
-                    out_term = max(out_term, allreduce_time(
-                        placement, group, out_act))
-                    in_term = max(in_term, allreduce_time(
-                        placement, group, in_act))
+                out_term, in_term = tp_boundary_allreduce_times(
+                    placement, schedule.stage_workers[s], t,
+                    profile.activation_bytes(stage.stop - 1),
+                    (profile.activation_bytes(stage.start - 1)
+                     if stage.start > 0 else 0),
+                )
                 fwd_time[s] = fwd_time[s] + out_term
                 bwd_time[s] = bwd_time[s] + in_term
     p.fwd_time = fwd_time
@@ -400,8 +395,8 @@ def price_stages(
             # so allreduce_time charges exactly the levels the strided
             # ring crosses.  Deferred (BPTT) weights are unshardable by
             # construction and stay full.
-            shard_w = shard_tables.shard_weight_bytes(
-                stage.start, stage.stop)
+            psw = tables.prefix_shard_weights
+            shard_w = psw[stage.stop] - psw[stage.start]
             stream_bytes = ((stage_weight_bytes[s] - deferred_bytes)
                             - shard_w + shard_w / stage.tp_degree)
         else:

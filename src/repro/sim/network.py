@@ -151,3 +151,26 @@ def allreduce_time(placement: Placement, workers: Sequence[int], num_bytes: floa
             if level.allreduce_latency > 0.0:
                 total += level.allreduce_latency
     return total
+
+
+def tp_boundary_allreduce_times(
+    placement: Placement,
+    leaders: Sequence[int],
+    tp_degree: int,
+    out_bytes: float,
+    in_bytes: float,
+) -> Tuple[float, float]:
+    """Per-minibatch boundary collectives of a tensor-parallel stage.
+
+    Each replica is the ``tp_degree`` consecutive workers starting at its
+    leader; every forward all_reduces the output activation
+    (``out_bytes``) and every backward the input one (``in_bytes``) over
+    that group.  The replicas' groups run concurrently, so each term is
+    the max over the groups.  Returns ``(forward, backward)`` seconds.
+    """
+    out_term = in_term = 0.0
+    for leader in leaders:
+        group = list(range(leader, leader + tp_degree))
+        out_term = max(out_term, allreduce_time(placement, group, out_bytes))
+        in_term = max(in_term, allreduce_time(placement, group, in_bytes))
+    return out_term, in_term

@@ -17,9 +17,14 @@ Oracle solves keep their own namespace in a shared
 :class:`~repro.core.partition.SolverContext`, so a warm oracle solve never
 reads rows the numpy DP wrote (and vice versa).
 
+:func:`closed_form_details` is the evaluator's oracle: the numpy closed
+form (contiguous-group ring sizes, boundary crossing level) that the
+library's placement walk must match bitwise on every unbucketed plan;
+:func:`oracle_evaluate_details` wraps it like
+:func:`~repro.core.partition.evaluate_partition_details`.
+
 ``use_oracle_planner`` routes :func:`repro.sim.sweep.run_sweep` (serial
-and thread-pool modes) through it, scoring plan details with the
-library's placement walk instead of the numpy evaluator.
+and thread-pool modes) through both oracles.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 import repro.sim.sweep as sweep
 from repro.core.partition import (
@@ -68,24 +75,28 @@ class OraclePlanner(PipeDreamOptimizer):
     # ------------------------------------------------------------------
     def _time(self, i: int, j: int) -> float:
         """Sum of T_l for layers i..j inclusive."""
-        return self._prefix_time[j + 1] - self._prefix_time[i]
+        pt = self._tables.prefix_time
+        return pt[j + 1] - pt[i]
 
     def _backward_sum(self, i: int, j: int) -> float:
         """Backward-pass seconds of layers i..j inclusive (device-adjusted)."""
-        return self._prefix_backward[j + 1] - self._prefix_backward[i]
+        pb = self._tables.prefix_backward
+        return pb[j + 1] - pb[i]
 
     def _boundary_acts(self, j: int) -> float:
         """Input-boundary activation bytes of a stage starting at layer ``j``
         (what a recompute-on stage stashes per in-flight minibatch)."""
-        return self._prefix_acts[j] - self._prefix_acts[j - 1] if j > 0 else 0.0
+        pa = self._tables.prefix_acts
+        return pa[j] - pa[j - 1] if j > 0 else 0.0
 
     def _shard_time(self, i: int, j: int) -> float:
         """Shardable compute seconds of layers i..j inclusive."""
-        return self._prefix_shard_time[j + 1] - self._prefix_shard_time[i]
+        pst = self._tables.prefix_shard_time
+        return pst[j + 1] - pst[i]
 
     def _shard_backward(self, i: int, j: int) -> float:
-        return (self._prefix_shard_backward[j + 1]
-                - self._prefix_shard_backward[i])
+        psb = self._tables.prefix_shard_backward
+        return psb[j + 1] - psb[i]
 
     def _bucket_count(self, i: int, j: int) -> int:
         """Streamable collectives per round for span i..j inclusive.
@@ -126,12 +137,11 @@ class OraclePlanner(PipeDreamOptimizer):
             return self._bound_cache
         W = max(1, self.topology.total_workers)
         ctx_key = ("bound", W)
-        if self.context is not None:
-            cached = self.context.bound_matrices.get(ctx_key)
-            if cached is not None:
-                self.context._bump("bound_hits")
-                self._bound_cache = cached
-                return cached
+        cached = self.context.bound_matrices.get(ctx_key)
+        if cached is not None:
+            self.context._bump("bound_hits")
+            self._bound_cache = cached
+            return cached
         n = self._n
         bound = [[math.inf] * n for _ in range(n)]
         for i in range(n):
@@ -143,9 +153,8 @@ class OraclePlanner(PipeDreamOptimizer):
                     W, 1,
                 ))
         self._bound_cache = bound
-        if self.context is not None:
-            self.context._bump("bound_misses")
-            self.context.bound_matrices[ctx_key] = bound
+        self.context._bump("bound_misses")
+        self.context.bound_matrices[ctx_key] = bound
         return bound
 
     # ------------------------------------------------------------------
@@ -517,23 +526,18 @@ class OraclePlanner(PipeDreamOptimizer):
         ptr_mp = [[-1] * n for _ in range(W + 1)]
         ptr_tp = [[1] * n for _ in range(W + 1)] if tp_tables else None
         R[0][n] = 0.0
-        row_cache = None if self.context is None else self.context.refined_rows
-        row_keys = (
-            self._refined_row_keys(W, coeffs, link_bw, lats, tp_tables)
-            if row_cache is not None
-            else None
-        )
+        row_cache = self.context.refined_rows
+        row_keys = self._refined_row_keys(W, coeffs, link_bw, lats, tp_tables)
         for m in range(1, W + 1):
-            if row_cache is not None:
-                hit = row_cache.get(row_keys[m])
-                if hit is not None:
-                    R[m] = list(hit[0])
-                    ptr_k[m] = list(hit[1])
-                    ptr_mp[m] = list(hit[2])
-                    if ptr_tp is not None:
-                        ptr_tp[m] = list(hit[3])
-                    self.context._bump("row_hits")
-                    continue
+            hit = row_cache.get(row_keys[m])
+            if hit is not None:
+                R[m] = list(hit[0])
+                ptr_k[m] = list(hit[1])
+                ptr_mp[m] = list(hit[2])
+                if ptr_tp is not None:
+                    ptr_tp[m] = list(hit[3])
+                self.context._bump("row_hits")
+                continue
             for j in range(n - 1, -1, -1):
                 best = inf
                 best_k = -1
@@ -584,17 +588,16 @@ class OraclePlanner(PipeDreamOptimizer):
                 ptr_mp[m][j] = best_mp
                 if ptr_tp is not None:
                     ptr_tp[m][j] = best_tp
-            if row_cache is not None:
-                if ptr_tp is not None:
-                    row_cache[row_keys[m]] = (
-                        list(R[m]), list(ptr_k[m]), list(ptr_mp[m]),
-                        list(ptr_tp[m]),
-                    )
-                else:
-                    row_cache[row_keys[m]] = (
-                        list(R[m]), list(ptr_k[m]), list(ptr_mp[m])
-                    )
-                self.context._bump("row_misses")
+            if ptr_tp is not None:
+                row_cache[row_keys[m]] = (
+                    list(R[m]), list(ptr_k[m]), list(ptr_mp[m]),
+                    list(ptr_tp[m]),
+                )
+            else:
+                row_cache[row_keys[m]] = (
+                    list(R[m]), list(ptr_k[m]), list(ptr_mp[m])
+                )
+            self.context._bump("row_misses")
         if not math.isfinite(R[W][0]):
             return None
         return self._reconstruct_refined(ptr_k, ptr_mp, W, ptr_tp)
@@ -607,18 +610,194 @@ def oracle_evaluate_details(
     memory_limit_bytes: Optional[float] = None,
     bucket_bytes: Optional[float] = None,
 ) -> PartitionEvaluation:
-    """:func:`repro.core.partition.evaluate_partition_details`, every plan
-    priced by the placement walk."""
+    """:func:`repro.core.partition.evaluate_partition_details` priced by
+    :func:`closed_form_details` — except bucketed pricing, which the
+    closed form does not model and which goes through the library's
+    placement walk."""
     from repro.sim.memory import pipeline_memory_footprint
 
     _check_stages(profile, stages)
-    result = _evaluate_details_walk(
-        profile, _eval_tables(profile), stages, topology, bucket_bytes
-    )
+    if bucket_bytes is None:
+        result = closed_form_details(profile, stages, topology)
+    else:
+        result = _evaluate_details_walk(profile, stages, topology, bucket_bytes)
     return replace(
         result,
         memory_bytes=tuple(pipeline_memory_footprint(profile, stages)),
         memory_limit_bytes=memory_limit_bytes,
+    )
+
+
+def _contiguous_ring_sizes(levels, first, last):
+    """Per level, the largest per-parent sibling group of the contiguous
+    worker ranges ``[first, last]`` (numpy arrays): one parent -> the
+    whole span; a parent strictly inside the range is full; otherwise the
+    larger of the two edge fragments."""
+    sizes = []
+    per_component = 1
+    for level in levels:
+        count_k = level.count
+        u_first = first // per_component
+        u_last = last // per_component
+        p_first = u_first // count_k
+        p_last = u_last // count_k
+        sizes.append(np.where(
+            p_first == p_last,
+            u_last - u_first + 1,
+            np.where(
+                p_last - p_first >= 2,
+                count_k,
+                np.maximum((p_first + 1) * count_k - u_first,
+                           u_last - p_last * count_k + 1),
+            ),
+        ))
+        per_component *= count_k
+    return sizes
+
+
+def _strided_ring_sizes(levels, members):
+    """Per level, the largest per-parent sibling group of an arbitrary
+    worker set, by counting the distinct level-k components under each
+    level-(k+1) parent."""
+    sizes = []
+    per_component = 1
+    for level in levels:
+        units = np.unique(members // per_component)
+        sizes.append(int(np.unique(units // level.count,
+                                   return_counts=True)[1].max()))
+        per_component *= level.count
+    return sizes
+
+
+def _ring_allreduce(levels, sizes, payload):
+    """Hierarchical ring all_reduce seconds of ``payload`` bytes given the
+    per-level ring sizes (arrays or ints), accumulated level by level in
+    :func:`repro.sim.network.allreduce_time`'s float order."""
+    total = np.zeros(np.shape(payload))
+    for level, group in zip(levels, sizes):
+        ring = 2.0 * (group - 1) / group
+        total = total + ring * payload / level.allreduce_bandwidth
+        alpha = level.allreduce_latency
+        if alpha > 0.0:
+            # Paid once per level a ring actually runs on, only when
+            # there is a payload.
+            lat = np.where(group > 1, alpha, 0.0)
+            total = total + np.where(payload > 0, lat, 0.0)
+    return total
+
+
+def closed_form_details(
+    profile: ModelProfile, stages: Sequence[Stage], topology: Topology
+) -> PartitionEvaluation:
+    """All stages at once, in numpy, from the prefix tables — independent
+    of :class:`repro.sim.network.Placement`.
+
+    Worker groups are contiguous ranges (stage-major packing), so the
+    placement queries reduce to integer arithmetic: a contiguous group
+    ``[first, last]`` spans ``last//W_k - first//W_k + 1`` level-k
+    components (``W_k`` = workers per level-k component), and the boundary
+    link between adjacent groups crosses the outermost level whose
+    component ids differ between workers ``dst-1`` and ``dst``.  A
+    tensor-parallel stage's shard groups are contiguous too; its strided
+    data-parallel ring is sized by counting components.  The float
+    expressions are those of the library's walk, term for term, so the
+    two must match bitwise.
+    """
+    tables = _eval_tables(profile)
+    levels = topology.levels
+    scale = topology.compute_scale
+    S = len(stages)
+
+    def per_stage(values, dtype=np.int64):
+        return np.fromiter(values, dtype=dtype, count=S)
+
+    def span(prefix):
+        p = np.asarray(prefix)
+        return p[stops] - p[starts]
+
+    starts = per_stage(s.start for s in stages)
+    stops = per_stage(s.stop for s in stages)
+    reps = per_stage(s.replicas for s in stages)
+    tps = per_stage(s.tp_degree for s in stages)
+    workers = reps * tps
+    gfirst = np.cumsum(workers) - workers
+    sharded = tps > 1
+
+    compute = span(tables.prefix_time) / scale
+    if sharded.any():
+        st = span(tables.prefix_shard_time) / scale
+        compute = np.where(sharded, compute - st + st / tps, compute)
+    if any(s.recompute for s in stages):
+        bwd = span(tables.prefix_backward) / scale
+        if sharded.any():
+            sb = span(tables.prefix_shard_backward) / scale
+            bwd = np.where(sharded, bwd - sb + sb / tps, bwd)
+        rec = per_stage((s.recompute for s in stages), dtype=bool)
+        compute = np.where(rec, compute + (compute - bwd), compute)
+    acts = np.asarray(tables.acts)
+    stage_total = compute
+    if sharded.any():
+        # Per replica q, the t consecutive shards [first + q t, ...): the
+        # stage waits on the slowest of the r concurrent groups.
+        out_term = np.zeros(S)
+        in_term = np.zeros(S)
+        out_act = acts[stops - 1]
+        in_act = np.where(starts > 0, acts[starts - 1], 0.0)
+        for i in np.flatnonzero(sharded):
+            t = int(tps[i])
+            lo = gfirst[i] + t * np.arange(reps[i])
+            sizes = _contiguous_ring_sizes(levels, lo, lo + t - 1)
+            out_term[i] = _ring_allreduce(levels, sizes, out_act[i]).max()
+            in_term[i] = _ring_allreduce(levels, sizes, in_act[i]).max()
+        stage_total = compute + (out_term + in_term)
+    cost = stage_total / reps
+    exposed = np.zeros(S)
+    hidden = np.zeros(S)
+    if bool((reps > 1).any()):
+        weights = span(tables.prefix_weights)
+        deferred = span(tables.prefix_recurrent)
+        payload = weights - deferred
+        if sharded.any():
+            shard_w = span(tables.prefix_shard_weights)
+            payload = np.where(sharded, payload - shard_w + shard_w / tps,
+                               payload)
+        sizes = _contiguous_ring_sizes(levels, gfirst, gfirst + reps - 1)
+        stream = _ring_allreduce(levels, sizes, payload)
+        blocked = _ring_allreduce(levels, sizes, deferred)
+        for i in np.flatnonzero(sharded & (reps > 1)):
+            leaders = gfirst[i] + tps[i] * np.arange(reps[i])
+            strided = _strided_ring_sizes(levels, leaders)
+            stream[i] = _ring_allreduce(levels, strided, payload[i])
+            blocked[i] = _ring_allreduce(levels, strided, deferred[i])
+        cost = np.where(
+            reps > 1, np.maximum(cost, stream / reps) + blocked / reps, cost
+        )
+        exposed = np.where(reps > 1, cost - stage_total / reps, 0.0)
+        hidden = np.where(
+            reps > 1, stream / reps + blocked / reps - exposed, 0.0
+        )
+    stage_times = tuple(cost.tolist())
+
+    boundary_times: Tuple[float, ...] = ()
+    worst = max(stage_times)
+    if S > 1:
+        dst = gfirst[1:]  # first worker of each next group
+        src = dst - 1
+        crossing = np.zeros(S - 1, dtype=np.int64)
+        per_component = 1
+        for k, level in enumerate(levels):
+            crossing = np.where(
+                src // per_component != dst // per_component, k, crossing
+            )
+            per_component *= level.count
+        bw = np.asarray([level.bandwidth for level in levels])[crossing]
+        boundary = 2.0 * acts[stops[:-1] - 1] / bw
+        boundary_times = tuple(boundary.tolist())
+        worst = max(worst, max(boundary_times))
+    return PartitionEvaluation(
+        worst, stage_times, boundary_times,
+        sync_exposed=tuple(exposed.tolist()),
+        sync_hidden=tuple(hidden.tolist()),
     )
 
 

@@ -1,5 +1,10 @@
 """Public API surface and reporting utilities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -62,3 +67,28 @@ class TestReporting:
         art = format_timeline(sim, width=60)
         assert "worker 0" in art and "worker 1" in art
         assert "F" in art and "B" in art
+
+
+class TestApiDocs:
+    def test_set_defaults_render_independent_of_hash_seed(self):
+        """``tools/gen_api_docs.py`` renders set/frozenset defaults sorted,
+        so regenerating ``docs/API.md`` under any hash seed gives the same
+        text (``normalize_plan_request``'s ``allowed_keys`` is the case)."""
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "from gen_api_docs import signature_of\n"
+            "from repro.serve.service import normalize_plan_request\n"
+            "print(signature_of(normalize_plan_request))\n"
+            "print(signature_of(lambda a={'b', 'c', 'a'}, e=frozenset(): 0))\n"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+                [str(root / "src"), str(root / "tools")]))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert outputs[0] == outputs[1]
+        assert "(a={'a', 'b', 'c'}, e=frozenset())" in outputs[0]
+        assert "frozenset({'allow_replication', 'bucket_bytes'," in outputs[0]

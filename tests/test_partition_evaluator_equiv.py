@@ -1,13 +1,15 @@
-"""The numpy plan evaluator is an optimization, not a semantic change.
+"""The placement walk against the closed-form evaluator oracle.
 
-:func:`evaluate_partition_details` prices tp-free, bucket-free plans with
-numpy arithmetic over cached prefix tables; its reference is the
-placement walk (``_evaluate_details_walk``) that prices tensor-parallel
-and bucketed plans stage by stage through the :mod:`repro.sim.network`
-placement and all_reduce model.  Both evaluate the exact same float
+:func:`evaluate_partition_details` prices every plan stage by stage
+through the :mod:`repro.sim.network` placement and all_reduce model
+(``_evaluate_details_walk``).  Its oracle,
+:func:`tests.partition_oracle.closed_form_details`, prices all stages at
+once with numpy integer arithmetic instead (contiguous-group ring sizes,
+boundary crossing level).  Both evaluate the exact same float
 expressions, so this file asserts *bitwise* equality — no approx — over
 every paper model with straight and replicated plans, plus a hypothesis
-fuzz over random profiles, topologies, and plans.
+fuzz over random profiles, topologies, and plans (tensor-parallel and
+checkpointing stages included).
 """
 
 import pytest
@@ -34,7 +36,7 @@ TOPO_A = cluster_a(4)
 
 
 def assert_evaluations_identical(profile, stages, topology):
-    """Numpy and placement-walk evaluations must match bitwise."""
+    """Placement-walk and closed-form evaluations must match bitwise."""
     vec = evaluate_partition_details(profile, stages, topology)
     ref = oracle_evaluate_details(profile, stages, topology)
     assert isinstance(vec, PartitionEvaluation)
@@ -72,8 +74,8 @@ def test_replicated_plan_matches(model):
 
 @pytest.mark.parametrize("model", PAPER_MODELS)
 def test_solved_plan_matches(model):
-    """The optimizer's own chosen plan evaluates identically on each path,
-    and the scalar oracle planner chooses the same plan."""
+    """The optimizer's own chosen plan evaluates identically under both
+    evaluators, and the scalar oracle planner chooses the same plan."""
     profile = analytic_profile(model)
     vec_plan = PipeDreamOptimizer(profile, TOPO_A).solve()
     ref_plan = OraclePlanner(profile, TOPO_A).solve()
@@ -91,11 +93,17 @@ def test_pure_data_parallel_plan_matches():
     assert details.bottleneck_stage == 0
 
 
-@pytest.mark.parametrize("topo", [cluster_a(4), cluster_b(2), cluster_c(4),
-                                  make_cluster("flat8", 8, 1, 40.0, 40.0)],
-                         ids=lambda t: t.name)
+@pytest.mark.parametrize("topo", [
+    cluster_a(4), cluster_b(2), cluster_c(4),
+    make_cluster("flat8", 8, 1, 40.0, 40.0),
+    make_cluster("alpha", 4, 2, 12e9, 1.25e9,
+                 intra_allreduce_efficiency=0.1,
+                 intra_allreduce_latency=5e-5,
+                 inter_allreduce_latency=2e-4),
+], ids=lambda t: t.name)
 def test_topologies_match(topo):
-    """Hierarchies with different depths/efficiencies all agree bitwise."""
+    """Hierarchies with different depths, efficiencies and per-collective
+    latencies all agree bitwise."""
     profile = analytic_profile("gnmt8")
     total = topo.total_workers
     stages = balanced_straight_stages(profile, min(4, total))
@@ -144,15 +152,20 @@ class TestEvaluatorFuzz:
         inter=st.floats(0.5, 100.0, allow_nan=False),
         intra_eff=st.floats(0.05, 1.0, allow_nan=False),
         inter_eff=st.floats(0.05, 1.0, allow_nan=False),
+        intra_alpha=st.sampled_from([0.0, 0.0, 1e-3, 0.5]),
+        inter_alpha=st.sampled_from([0.0, 0.0, 2e-3, 1.0]),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
     def test_random_plan_matches(self, spec, gpus, servers, intra, inter,
-                                 intra_eff, inter_eff, data):
+                                 intra_eff, inter_eff, intra_alpha,
+                                 inter_alpha, data):
         profile = build_profile(spec)
         topo = make_cluster("fuzz", gpus, servers, intra, inter,
                             intra_allreduce_efficiency=intra_eff,
-                            inter_allreduce_efficiency=inter_eff)
+                            inter_allreduce_efficiency=inter_eff,
+                            intra_allreduce_latency=intra_alpha,
+                            inter_allreduce_latency=inter_alpha)
         total = topo.total_workers
         num_layers = len(profile)
         num_stages = data.draw(
@@ -162,14 +175,19 @@ class TestEvaluatorFuzz:
                      max_size=num_stages - 1, unique=True),
             label="cuts")) if num_stages > 1 else []
         bounds = [0] + cuts + [num_layers]
-        # Replicas per stage, packed so the total never exceeds the
-        # cluster (the evaluator's contract: contiguous in-range groups).
+        # Replicas x tp degree per stage, packed so the total never
+        # exceeds the cluster (the evaluator's contract: contiguous
+        # in-range groups).
         budget = total - num_stages
-        replicas = []
-        for _ in range(num_stages):
-            r = data.draw(st.integers(1, 1 + budget), label="replicas")
-            budget -= r - 1
-            replicas.append(r)
-        stages = [Stage(b, e, r)
-                  for b, e, r in zip(bounds, bounds[1:], replicas)]
+        stages = []
+        for b, e in zip(bounds, bounds[1:]):
+            t = data.draw(st.sampled_from([1, 1, 2, 3]), label="tp")
+            if t - 1 > budget:
+                t = 1
+            r = data.draw(st.integers(1, 1 + (budget - (t - 1)) // t),
+                          label="replicas")
+            budget -= r * t - 1
+            stages.append(Stage(b, e, r, tp_degree=t,
+                                recompute=data.draw(st.booleans(),
+                                                    label="recompute")))
         assert_evaluations_identical(profile, stages, topo)

@@ -20,8 +20,8 @@ options (``recompute="auto"``, ``tp_degrees``, ``bucket_bytes``,
   planners, cold and warm-started through one shared
   :class:`~repro.core.partition.SolverContext` at the full and a subset
   worker count;
-- the numpy evaluator equals the placement walk on random tp-free,
-  bucket-free plans and on every tp-free solved plan.
+- the placement walk equals the closed-form evaluator oracle on random
+  tp-free, bucket-free plans and on every tp-free solved plan.
 """
 
 import itertools
@@ -140,9 +140,9 @@ def phases(planner, profile, topology, kwargs):
 
 
 def assert_evaluators_equal(profile, stages, topology):
-    numpy_eval = evaluate_partition_details(profile, stages, topology)
-    walk_eval = oracle_evaluate_details(profile, stages, topology)
-    assert numpy_eval == walk_eval
+    walk_eval = evaluate_partition_details(profile, stages, topology)
+    closed_form = oracle_evaluate_details(profile, stages, topology)
+    assert walk_eval == closed_form
 
 
 @st.composite

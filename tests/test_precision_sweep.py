@@ -158,9 +158,10 @@ class TestPrecisionKeying:
         assert analytic_profile("vgg16").to_dict() == before
 
     def test_eval_tables_are_per_profile_instance(self):
-        """``_EvalTables`` memoizes per ModelProfile object, so the fp16
-        conversion (a new object) can never reuse fp32 prefix tables —
-        and interleaving precisions leaves fp32 results bitwise-stable."""
+        """``_EvalTables`` is keyed by the profile's content digest, and
+        the fp16 conversion changes every byte count (hence the digest),
+        so it can never reuse fp32 prefix tables — and interleaving
+        precisions leaves fp32 results bitwise-stable."""
         fp32 = analytic_profile("vgg16")
         fp16 = fp32.with_precision(2)
         stages = [Stage(0, 10, 9), Stage(10, 15, 6),
